@@ -3,14 +3,18 @@
 Decision procedures for associativity, alternativity, flexibility, nucleus,
 centre, torsion, idempotents, Peirce decompositions, the two centralising
 conditions at an idempotent, and primeness (by the ideal-pair definition and
-by the annihilator criteria).  All procedures are exact: multilinear
-identities are decided on basis tuples, subspace conditions by Howell-form
-linear algebra over Z/kZ.  Elementwise enumeration appears only where the
-property is genuinely nonlinear (squares of component elements, witnesses).
+by the annihilator criteria).  All procedures are exact: the identity laws
+are read off one associator tensor A[i, j, l] = (b_i*b_j)*b_l - b_i*(b_j*b_l)
+on basis triples (trilinear laws) or at x = b_p and x = b_p + b_q, diagonal
+plus linearisation (laws quadratic in x); subspace conditions are decided by
+Howell-form linear algebra over Z/kZ.  Elementwise enumeration appears only
+where the property is genuinely nonlinear (squares of component elements,
+witnesses).
 
 Witness policy: scans run in ascending element-index order, so a reported
 witness is the first counterexample the documented scan meets and reports
-are deterministic.
+are deterministic: the least failing basis triple, or the least candidate x,
+then the least basis y, the left alternative law before the right one.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import zmod
-from .core import Element, RingSpec, Submodule, associator
+from .core import Element, RingSpec, Submodule
 
 
 @dataclass(frozen=True)
@@ -39,42 +43,81 @@ class Verdict:
             return None
         return [w.index for w in self.witness]
 
+    def to_doc(self) -> dict:
+        """JSON form: ``ok``, then the witness indices and labels, then the tag."""
+        doc = {"ok": bool(self.ok)}
+        if self.witness is not None:
+            doc["witness"] = {
+                "indices": self.witness_indices(),
+                "labels": [w.label() for w in self.witness],
+            }
+        if self.tag:
+            doc["tag"] = self.tag
+        return doc
+
 
 class PeirceError(ValueError):
     """The requested Peirce decomposition does not exist or is degenerate."""
 
 
-def _basis_ascending(ring: RingSpec) -> list[Element]:
-    """Basis elements in ascending element-index order (reverse label order)."""
-    return [ring.basis_element(i) for i in reversed(range(ring.dim))]
+def _associator_tensor(ring: RingSpec) -> np.ndarray:
+    """A[i, j, l] = (b_i*b_j)*b_l - b_i*(b_j*b_l), shape (d, d, d, d)."""
+    t, k = ring.table, ring.modulus
+    outer = np.einsum("ijm,mlr->ijlr", t, t) % k
+    inner = np.einsum("jlm,imr->ijlr", t, t) % k
+    return (outer - inner) % k
 
 
-def _pairsum_candidates(ring: RingSpec) -> list[Element]:
-    """Basis elements and two-term basis sums, ascending by element index.
+def _first_failure(values: np.ndarray) -> tuple[int, ...] | None:
+    """Position of the first nonzero vector (last axis) in C order, if any."""
+    hits = np.flatnonzero(values.any(axis=-1))
+    if not hits.size:
+        return None
+    return tuple(int(p) for p in np.unravel_index(hits[0], values.shape[:-1]))
 
-    Checking a multilinear-in-one-slot identity on these candidates is
-    exactly the basis criterion "diagonal plus linearisation", because the
-    identity at b_i + b_j equals diagonal terms plus the linearised term.
+
+def _basis_triple_verdict(ring: RingSpec, values: np.ndarray, tag: str) -> Verdict:
+    """Verdict of a trilinear law whose value at (b_i, b_j, b_l) is values[i, j, l].
+
+    Basis element b_p has index k**(d-1-p), so reversing every axis scans
+    the triples in ascending element-index order."""
+    hit = _first_failure(values[::-1, ::-1, ::-1])
+    if hit is None:
+        return Verdict(True)
+    return Verdict(False, tuple(ring.basis_element(ring.dim - 1 - p) for p in hit), tag)
+
+
+def _quadratic_failure(ring: RingSpec, laws) -> tuple[Element, Element, int] | None:
+    """First (x, y, law number) at which a law quadratic in x fails, or None.
+
+    Each law is an array Q with Q[p, q, j] its value when the two x slots
+    hold b_p and b_q and y = b_j, so its value at x = b_p + b_q is
+    Q[p, p, j] + Q[q, q, j] + Q[p, q, j] + Q[q, p, j].  The scan runs over x
+    ascending by element index, then y, then the laws in the given order.
     """
-    basis = _basis_ascending(ring)
-    cands = list(basis)
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            cands.append(basis[i] + basis[j])
-    return sorted(cands, key=lambda e: e.index)
+    d, k = ring.dim, ring.modulus
+    eye = np.eye(d, dtype=np.int64)
+    p, q = np.triu_indices(d)
+    # eye[p] | eye[q] is the coefficient vector of b_p (p == q) or b_p + b_q
+    order = np.argsort((eye[p] | eye[q]) @ ring.index_weights)
+    p, q = p[order], q[order]
+    single = (p == q)[:, None, None]
+    values = [
+        np.where(single, law[p, p], law[p, p] + law[q, q] + law[p, q] + law[q, p]) % k
+        for law in laws
+    ]
+    hit = _first_failure(np.stack(values, axis=2)[:, ::-1])
+    if hit is None:
+        return None
+    c, j, law = hit
+    return ring.element(eye[p[c]] | eye[q[c]]), ring.basis_element(d - 1 - j), law
 
 
 def is_associative(ring: RingSpec) -> Verdict:
     """Vanishing of the associator, decided on basis triples (exact by
-    trilinearity).  Scan ascends in element index, so for a failing ring the
-    witness is the least failing basis triple."""
-    basis = _basis_ascending(ring)
-    for x in basis:
-        for y in basis:
-            for z in basis:
-                if not associator(x, y, z).is_zero():
-                    return Verdict(False, (x, y, z), "associator")
-    return Verdict(True)
+    trilinearity).  For a failing ring the witness is the least failing
+    basis triple in ascending element-index order."""
+    return _basis_triple_verdict(ring, _associator_tensor(ring), "associator")
 
 
 def is_alternative(ring: RingSpec) -> Verdict:
@@ -84,43 +127,31 @@ def is_alternative(ring: RingSpec) -> Verdict:
     it exactly with no torsion hypothesis; both are covered by evaluating at
     basis elements and two-term basis sums.
     """
-    basis = _basis_ascending(ring)
-    for x in _pairsum_candidates(ring):
-        for y in basis:
-            if not associator(x, x, y).is_zero():
-                return Verdict(False, (x, x, y), "left-alternative")
-            if not associator(y, x, x).is_zero():
-                return Verdict(False, (y, x, x), "right-alternative")
-    return Verdict(True)
+    a = _associator_tensor(ring)
+    hit = _quadratic_failure(ring, [a, a.transpose(1, 2, 0, 3)])
+    if hit is None:
+        return Verdict(True)
+    x, y, law = hit
+    if law == 0:
+        return Verdict(False, (x, x, y), "left-alternative")
+    return Verdict(False, (y, x, x), "right-alternative")
 
 
 def is_flexible(ring: RingSpec) -> Verdict:
     """The flexible law (x, y, x) = 0, by the same quadratic basis criterion."""
-    basis = _basis_ascending(ring)
-    for x in _pairsum_candidates(ring):
-        for y in basis:
-            if not associator(x, y, x).is_zero():
-                return Verdict(False, (x, y, x), "flexible")
-    return Verdict(True)
+    hit = _quadratic_failure(ring, [_associator_tensor(ring).transpose(0, 2, 1, 3)])
+    if hit is None:
+        return Verdict(True)
+    x, y, _ = hit
+    return Verdict(False, (x, y, x), "flexible")
 
 
 def check_linearized_flexible(ring: RingSpec) -> Verdict:
     """The linearised flexible identity (x,y,z) + (z,y,x) = 0 on basis triples."""
-    basis = _basis_ascending(ring)
-    for x in basis:
-        for y in basis:
-            for z in basis:
-                if not (associator(x, y, z) + associator(z, y, x)).is_zero():
-                    return Verdict(False, (x, y, z), "linearized-flexible")
-    return Verdict(True)
-
-
-def _basis_mul_matrices(ring: RingSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Left/right multiplication matrices of the basis elements."""
-    t = ring.table
-    left = [t[j].T.copy() for j in range(ring.dim)]
-    right = [t[:, j, :].T.copy() for j in range(ring.dim)]
-    return left, right
+    a = _associator_tensor(ring)
+    return _basis_triple_verdict(
+        ring, (a + a.transpose(2, 1, 0, 3)) % ring.modulus, "linearized-flexible"
+    )
 
 
 def nucleus(ring: RingSpec) -> Submodule:
@@ -130,7 +161,8 @@ def nucleus(ring: RingSpec) -> Submodule:
     basis pairs and taking a kernel is exact.
     """
     k, d = ring.modulus, ring.dim
-    left, right = _basis_mul_matrices(ring)
+    left = [ring.left_mul_matrix(b) for b in ring.basis_elements()]
+    right = [ring.right_mul_matrix(b) for b in ring.basis_elements()]
     blocks = []
     for i in range(d):
         for j in range(d):
@@ -148,8 +180,9 @@ def commutant(ring: RingSpec) -> Submodule:
     for 3-torsion-free alternative rings it coincides with the centre.
     """
     k = ring.modulus
-    left, right = _basis_mul_matrices(ring)
-    blocks = [(r - l) % k for l, r in zip(left, right)]
+    blocks = [
+        (ring.right_mul_matrix(b) - ring.left_mul_matrix(b)) % k for b in ring.basis_elements()
+    ]
     return Submodule(ring, zmod.kernel(np.vstack(blocks), k))
 
 
@@ -175,9 +208,10 @@ def is_k_torsion_free(ring: RingSpec, k: int) -> Verdict:
 
 def find_unity(ring: RingSpec) -> Element | None:
     """The unique two-sided unity, if one exists (a linear system in u)."""
-    left, right = _basis_mul_matrices(ring)
-    rows = np.vstack(right + left)
     eye = np.eye(ring.dim, dtype=np.int64)
+    rows = np.vstack(
+        [ring.right_mul_matrix(v) for v in eye] + [ring.left_mul_matrix(v) for v in eye]
+    )
     target = np.concatenate([eye[j] for j in range(ring.dim)] * 2)
     sol = zmod.solve(rows, target, ring.modulus)
     return None if sol is None else ring.element(sol)
@@ -206,6 +240,15 @@ def nontrivial_idempotents(ring: RingSpec) -> list[Element]:
     ]
 
 
+def _peirce_project(e1: Element, a: Element) -> dict[tuple[int, int], Element]:
+    """The four Peirce projections of a at the idempotent e1."""
+    p11 = e1 * (a * e1)
+    p12 = e1 * a - p11
+    p21 = a * e1 - p11
+    p22 = a - e1 * a - a * e1 + p11
+    return {(1, 1): p11, (1, 2): p12, (2, 1): p21, (2, 2): p22}
+
+
 @dataclass(frozen=True)
 class PeirceFrame:
     """The four components R11, R12, R21, R22 of a ring at an idempotent e1,
@@ -224,12 +267,7 @@ class PeirceFrame:
         ]
 
     def project(self, a: Element) -> dict[tuple[int, int], Element]:
-        e1 = self.e1
-        p11 = e1 * (a * e1)
-        p12 = e1 * a - p11
-        p21 = a * e1 - p11
-        p22 = a - e1 * a - a * e1 + p11
-        return {(1, 1): p11, (1, 2): p12, (2, 1): p21, (2, 2): p22}
+        return _peirce_project(self.e1, a)
 
     def diagonal_sum(self) -> Submodule:
         return self.r11 + self.r22
@@ -259,14 +297,8 @@ def peirce(ring: RingSpec, e1: Element) -> PeirceFrame:
             )
 
     # Components are spanned by the basis projections (projections are linear).
-    comps = {key: [] for key in [(1, 1), (1, 2), (2, 1), (2, 2)]}
-    for b in ring.basis_elements():
-        p11 = e1 * (b * e1)
-        comps[(1, 1)].append(p11)
-        comps[(1, 2)].append(e1 * b - p11)
-        comps[(2, 1)].append(b * e1 - p11)
-        comps[(2, 2)].append(b - e1 * b - b * e1 + p11)
-    subs = {key: Submodule.span(ring, vals) for key, vals in comps.items()}
+    parts = [_peirce_project(e1, b) for b in ring.basis_elements()]
+    subs = {key: Submodule.span(ring, [p[key] for p in parts]) for key in parts[0]}
     frame = PeirceFrame(ring, e1, subs[(1, 1)], subs[(1, 2)], subs[(2, 1)], subs[(2, 2)])
 
     total = subs[(1, 1)] + subs[(1, 2)] + subs[(2, 1)] + subs[(2, 2)]
@@ -477,21 +509,8 @@ class AnalysisReport:
         return len({p.ok for p in parts}) == 1
 
     def to_dict(self) -> dict:
-        def witness_doc(v: Verdict | None):
-            if v is None:
-                return None
-            doc = {"ok": bool(v.ok)}
-            if v.witness is not None:
-                doc["witness"] = {
-                    "indices": [int(w.index) for w in v.witness],
-                    "labels": [w.label() for w in v.witness],
-                }
-            if v.tag:
-                doc["tag"] = v.tag
-            return doc
-
-        def rows_doc(sub: Submodule):
-            return [[int(c) for c in row] for row in sub.rows]
+        def optional_doc(v: Verdict | None):
+            return None if v is None else v.to_doc()
 
         return {
             "ring": {
@@ -507,23 +526,23 @@ class AnalysisReport:
                 "linearized_flexible": bool(self.linearized_flexible.ok),
             },
             "checks": {
-                "associative": witness_doc(self.associative),
-                "alternative": witness_doc(self.alternative),
-                "flexible": witness_doc(self.flexible),
-                "linearized_flexible": witness_doc(self.linearized_flexible),
+                "associative": self.associative.to_doc(),
+                "alternative": self.alternative.to_doc(),
+                "flexible": self.flexible.to_doc(),
+                "linearized_flexible": self.linearized_flexible.to_doc(),
             },
-            "nucleus": rows_doc(self.nucleus),
-            "commutant": rows_doc(self.commutant),
-            "centre": rows_doc(self.centre),
+            "nucleus": self.nucleus.rows.tolist(),
+            "commutant": self.commutant.rows.tolist(),
+            "centre": self.centre.rows.tolist(),
             "unity": None if self.unity is None else int(self.unity.index),
             "idempotents": [int(e.index) for e in self.idempotents],
             "torsion_free": {
-                str(k): witness_doc(v) for k, v in sorted(self.torsion_free.items())
+                str(k): v.to_doc() for k, v in sorted(self.torsion_free.items())
             },
             "primeness": {
-                "by_ideals": witness_doc(self.prime_by_ideals),
-                "criterion_left": witness_doc(self.prime_criterion_left),
-                "criterion_right": witness_doc(self.prime_criterion_right),
+                "by_ideals": optional_doc(self.prime_by_ideals),
+                "criterion_left": optional_doc(self.prime_criterion_left),
+                "criterion_right": optional_doc(self.prime_criterion_right),
                 "agree": self.primeness_agree,
             },
         }
@@ -533,15 +552,16 @@ def analyze(
     ring: RingSpec, torsion: tuple[int, ...] = (2, 3), primeness: bool = True
 ) -> AnalysisReport:
     """Run the full battery of structural checks on one ring."""
+    nuc, com = nucleus(ring), commutant(ring)
     return AnalysisReport(
         ring=ring,
         associative=is_associative(ring),
         alternative=is_alternative(ring),
         flexible=is_flexible(ring),
         linearized_flexible=check_linearized_flexible(ring),
-        nucleus=nucleus(ring),
-        commutant=commutant(ring),
-        centre=centre(ring),
+        nucleus=nuc,
+        commutant=com,
+        centre=nuc & com,
         unity=find_unity(ring),
         idempotents=idempotents(ring),
         torsion_free={k: is_k_torsion_free(ring, k) for k in torsion},

@@ -164,33 +164,19 @@ def analyze(ring_file, torsion, skip_primeness, fmt, assertions, output):
 
 
 def _peirce_doc(ring, frame, relations, conditions) -> dict:
-    def wit(v):
-        doc = {"ok": bool(v.ok)}
-        if v.witness:
-            doc["witness"] = {
-                "indices": [int(w.index) for w in v.witness],
-                "labels": [w.label() for w in v.witness],
-            }
-        if v.tag:
-            doc["tag"] = v.tag
-        return doc
-
     return {
         "ring": {"name": ring.name, "modulus": int(ring.modulus), "dim": int(ring.dim)},
         "idempotent": {"index": int(frame.e1.index), "label": frame.e1.label()},
         "components": {
-            f"{i}{j}": [[int(c) for c in row] for row in frame.component(i, j).rows]
+            f"{i}{j}": frame.component(i, j).rows.tolist()
             for i in (1, 2)
             for j in (1, 2)
         },
-        "relations": wit(relations),
+        "relations": relations.to_doc(),
         "conditions": {
             side: dict(
-                wit(conditions[side]),
-                subspace=[
-                    [int(c) for c in row]
-                    for row in analysis.condition_subspace(frame, side).rows
-                ],
+                conditions[side].to_doc(),
+                subspace=analysis.condition_subspace(frame, side).rows.tolist(),
             )
             for side in ("12", "21")
         },
@@ -268,15 +254,6 @@ def verify_map(files, kind, fmt, assertions, output):
 
     defreport = liemaps.check_almost_additive(phi) if eligible else None
 
-    def wit(v):
-        d = {"ok": bool(v.ok)}
-        if v.witness:
-            d["witness"] = {
-                "indices": [int(w.index) for w in v.witness],
-                "labels": [w.label() for w in v.witness],
-            }
-        return d
-
     doc = {
         "map": {
             "domain": domain.name,
@@ -284,7 +261,7 @@ def verify_map(files, kind, fmt, assertions, output):
             "bijective": bool(phi.is_bijective()),
         },
         "kind": kind,
-        "verdict": wit(verdict),
+        "verdict": {key: val for key, val in verdict.to_doc().items() if key != "tag"},
         "additive": None if defreport is None else bool(defreport.all_zero),
         "almost_additive": None if defreport is None else bool(defreport.all_central),
         "defect_sample": None,
@@ -344,9 +321,10 @@ def search_maps(ring_file, self_search, codomain_file, budget, fmt, assertions, 
         result = liemaps.search_lie_multiplicative_bijections(domain, codomain, budget=budget)
     except ValueError as exc:
         raise ToolError(str(exc)) from exc
+    centre = analysis.centre(codomain)
     entries = []
     for m in result.maps:
-        rep = liemaps.check_almost_additive(m)
+        rep = liemaps.check_almost_additive(m, centre=centre)
         entries.append(
             {
                 "values": [int(v) for v in m.values],

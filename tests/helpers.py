@@ -119,3 +119,46 @@ def brute_condition_scan(ring, frame, side, commutant_elems):
     good = [s for s in hyp if s in commut]
     bad = sorted((s for s in hyp if s not in commut), key=br.index)
     return hyp, good, bad
+
+
+def reference_identity_scans(ring):
+    """The four identity checks as plain scans, keyed by the library's
+    function names, each as (ok, witness indices, tag).
+
+    The trilinear laws scan basis triples in ascending element index.  The
+    laws quadratic in x scan x over the basis elements and two-term basis
+    sums in ascending element index, then y over the basis in ascending
+    element index, trying the left alternative law before the right one.
+    """
+    br = BruteRing(ring)
+    basis = sorted(
+        (tuple(int(i == p) for i in range(br.d)) for p in range(br.d)), key=br.index
+    )
+    sums = [br.add(x, y) for x, y in itertools.combinations(basis, 2)]
+    triples = [(x, y, z) for x in basis for y in basis for z in basis]
+    pairs = [(x, y) for x in sorted(basis + sums, key=br.index) for y in basis]
+
+    def first(cases):
+        for value, witness, tag in cases:
+            if value != br.zero:
+                return False, [br.index(w) for w in witness], tag
+        return True, None, ""
+
+    return {
+        "is_associative": first(
+            (br.assoc(x, y, z), (x, y, z), "associator") for x, y, z in triples
+        ),
+        "is_alternative": first(
+            case
+            for x, y in pairs
+            for case in (
+                (br.assoc(x, x, y), (x, x, y), "left-alternative"),
+                (br.assoc(y, x, x), (y, x, x), "right-alternative"),
+            )
+        ),
+        "is_flexible": first((br.assoc(x, y, x), (x, y, x), "flexible") for x, y in pairs),
+        "check_linearized_flexible": first(
+            (br.add(br.assoc(x, y, z), br.assoc(z, y, x)), (x, y, z), "linearized-flexible")
+            for x, y, z in triples
+        ),
+    }

@@ -10,7 +10,7 @@ import pytest
 from altring import analysis, canonicalize, fixtures
 from altring.analysis import PeirceError
 
-from helpers import BruteRing, brute_condition_scan
+from helpers import BruteRing, brute_condition_scan, reference_identity_scans
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +132,48 @@ class TestBasisCriterionAgreesWithBruteForce:
         assert analysis.is_associative(r).ok == br.associative()
         assert analysis.is_alternative(r).ok == br.alternative()
         assert analysis.is_flexible(r).ok == br.flexible()
+
+
+IDENTITY_CHECKS = ("is_associative", "is_alternative", "is_flexible", "check_linearized_flexible")
+
+
+def _random_tables(count=240, seed=20181012):
+    """Seeded random rings with d <= 4 and k in {2, 3, 4, 6, 9}; odd
+    positions are sparse (about one coefficient in twelve nonzero)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(count):
+        k, d = (2, 3, 4, 6, 9)[n % 5], 1 + (n // 10) % 4
+        table = rng.integers(0, k, size=(d, d, d))
+        if n % 2:
+            table *= rng.random((d, d, d)) < 1 / 12
+        out.append(fixtures.RingSpec(f"random{n}", k, [f"b{i}" for i in range(d)], table))
+    return out
+
+
+class TestIdentityWitnessOrder:
+    """Full (ok, witness, tag) of the four identity checks against the plain
+    scans of helpers.reference_identity_scans."""
+
+    @staticmethod
+    def _mismatches(ring):
+        expected = reference_identity_scans(ring)
+        out = []
+        for name in IDENTITY_CHECKS:
+            v = getattr(analysis, name)(ring)
+            if (v.ok, v.witness_indices(), v.tag) != expected[name]:
+                out.append((ring.name, name, (v.ok, v.witness_indices(), v.tag), expected[name]))
+        return out
+
+    @pytest.mark.parametrize("name", sorted(fixtures.CATALOG))
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    def test_catalog(self, name, k):
+        assert self._mismatches(fixtures.build(name, k)) == []
+
+    def test_random_tables(self):
+        rings = _random_tables()
+        assert len(rings) >= 200
+        assert [m for r in rings for m in self._mismatches(r)] == []
 
 
 class TestNucleusAndCentre:
