@@ -191,6 +191,12 @@ def centre(ring: RingSpec) -> Submodule:
     return nucleus(ring) & commutant(ring)
 
 
+def _least_nonzero(sub: Submodule) -> Element:
+    """Least nonzero element of a nonzero submodule in element-index order."""
+    # Howell pivots increase and rows pivoting at >= c span all elements leading there.
+    return sub.basis()[-1]
+
+
 def is_k_torsion_free(ring: RingSpec, k: int) -> Verdict:
     """Does k*x = 0 force x = 0?  Decided by the kernel of multiplication by
     k on the additive group, not by a gcd shortcut."""
@@ -200,10 +206,7 @@ def is_k_torsion_free(ring: RingSpec, k: int) -> Verdict:
     ker = Submodule(ring, zmod.kernel(mat, ring.modulus))
     if ker.is_zero():
         return Verdict(True)
-    witness = min(
-        (e for e in ker.elements() if not e.is_zero()), key=lambda e: e.index
-    )
-    return Verdict(False, (witness,), f"{k}-torsion")
+    return Verdict(False, (_least_nonzero(ker),), f"{k}-torsion")
 
 
 def find_unity(ring: RingSpec) -> Element | None:
@@ -471,10 +474,7 @@ def prime_criterion(ring: RingSpec, variant: str = "left") -> Verdict:
                 blocks.append((la @ ring.left_mul_matrix(ring.element(bv))) % k)
         ker = Submodule(ring, zmod.kernel(np.vstack(blocks) % k, k))
         if not ker.is_zero():
-            b = min(
-                (e for e in ker.elements() if not e.is_zero()), key=lambda e: e.index
-            )
-            return Verdict(False, (a, b), f"criterion-{variant}")
+            return Verdict(False, (a, _least_nonzero(ker)), f"criterion-{variant}")
     return Verdict(True)
 
 

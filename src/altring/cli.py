@@ -134,6 +134,9 @@ def analyze(ring_file, torsion, skip_primeness, fmt, assertions, output):
         ks = tuple(int(t) for t in torsion.split(",") if t.strip())
     except ValueError:
         raise ToolError(f"bad --torsion value {torsion!r}")
+    for k in ks:
+        if k < 1:
+            raise ToolError(f"bad --torsion value {k}: each k must be at least 1")
     report = analysis.analyze(ring, torsion=ks, primeness=not skip_primeness)
     doc = report.to_dict()
     if fmt == "json":
@@ -226,8 +229,6 @@ def peirce(ring_file, idempotent, fmt, assertions, output):
 @output_option
 def verify_map(files, kind, fmt, assertions, output):
     """Verify a map file against ring file(s): FILES = RING... MAP."""
-    if len(files) < 1:
-        raise ToolError("need at least a map file")
     *ring_files, map_file = files
     rings = {}
     for rf in ring_files:

@@ -183,34 +183,36 @@ class RingSpec:
             self._cache[key] = t
         return t
 
-    def mul_index_table(self) -> np.ndarray:
-        """(n, n) table: mul[i, j] = index of element_i * element_j."""
+    def _pair_index_table(self, key: str, combine) -> np.ndarray:
+        """(n, n) table: out[i, j] = index of combine(element_i, element_j).
+
+        ``combine`` maps a block of coefficient rows (a, d) and all rows
+        (n, d) to the unreduced (a, n, d) coefficients; blocks keep each
+        intermediate near 2**21 entries.
+        """
 
         def build():
             e, w, k, n = self.elements_matrix(), self.index_weights, self.modulus, self.size
             out = np.empty((n, n), dtype=np.int64)
             step = max(1, (1 << 21) // max(1, n * self.dim))
             for lo in range(0, n, step):
-                blk = np.einsum(
-                    "ai,ijl,bj->abl", e[lo : lo + step], self.table, e, optimize=True
-                ) % k
-                out[lo : lo + step] = blk @ w
+                out[lo : lo + step] = (combine(e[lo : lo + step], e) % k) @ w
             return out
 
-        return self._index_table("mul_idx", build)
+        return self._index_table(key, build)
+
+    def _bilinear_index_table(self, key: str, table: np.ndarray) -> np.ndarray:
+        return self._pair_index_table(
+            key, lambda x, y: np.einsum("ai,ijl,bj->abl", x, table, y, optimize=True)
+        )
+
+    def mul_index_table(self) -> np.ndarray:
+        """(n, n) table: mul[i, j] = index of element_i * element_j."""
+        return self._bilinear_index_table("mul_idx", self.table)
 
     def add_index_table(self) -> np.ndarray:
         """(n, n) table: add[i, j] = index of element_i + element_j."""
-
-        def build():
-            e, w, k, n = self.elements_matrix(), self.index_weights, self.modulus, self.size
-            out = np.empty((n, n), dtype=np.int64)
-            step = max(1, (1 << 21) // max(1, n * self.dim))
-            for lo in range(0, n, step):
-                out[lo : lo + step] = ((e[lo : lo + step, None, :] + e[None, :, :]) % k) @ w
-            return out
-
-        return self._index_table("add_idx", build)
+        return self._pair_index_table("add_idx", lambda x, y: x[:, None, :] + y[None, :, :])
 
     def neg_index_vector(self) -> np.ndarray:
         """(n,) table: neg[i] = index of -element_i."""
@@ -222,15 +224,10 @@ class RingSpec:
         return self._index_table("neg_idx", build)
 
     def commutator_index_table(self) -> np.ndarray:
-        """(n, n) table of [x, y] element indices."""
-
-        def build():
-            m = self.mul_index_table()
-            neg = self.neg_index_vector()
-            add = self.add_index_table()
-            return add[m, neg[m.T]]
-
-        return self._index_table("comm_idx", build)
+        """(n, n) table of [x, y] element indices.  The bracket is bilinear with
+        constants table[i, j] - table[j, i], so it is built like the product
+        table, without the product, negation or sum tables."""
+        return self._bilinear_index_table("comm_idx", self.table - self.table.transpose(1, 0, 2))
 
     # -- linear maps of multiplication -------------------------------------
 

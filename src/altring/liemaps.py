@@ -3,8 +3,11 @@
 Maps are stored as full value tables indexed by element index, never as
 basis images: a Lie multiplicative map need not be additive, so its basis
 images do not determine it.  Verifiers run over all argument tuples using
-the rings' cached index tables; the searcher enumerates value tables by
-backtracking with incremental bracket-constraint checks.
+the rings' cached index tables; the bracket is bilinear even where D is not,
+so both derivability checks read one Leibniz table s[x, y] = [D(x), y] +
+[x, D(y)], and every failure is the lex-least (x, y) of a mismatch mask.  The
+searcher enumerates value tables by backtracking with incremental
+bracket-constraint checks.
 """
 
 from __future__ import annotations
@@ -79,74 +82,60 @@ class MapTable:
         return f"MapTable({self.domain.name} -> {self.codomain.name})"
 
 
-def _first_mismatch(mask: np.ndarray) -> tuple[int, int]:
-    """Lex-least (i, j) with mask True; mask is 2-D and nonempty somewhere."""
-    flat = int(np.argmax(mask.reshape(-1)))
-    return divmod(flat, mask.shape[1])
+def _first_pair(mask: np.ndarray, ring: RingSpec, third=None) -> tuple[Element, ...] | None:
+    """(x, y) for the lex-least pair with mask[x, y] set, then ``third(i, j)``
+    if given; None when the mask is all False."""
+    i, j = divmod(int(np.argmax(mask)), mask.shape[1])
+    if not mask[i, j]:
+        return None
+    pair = (ring.from_index(i), ring.from_index(j))
+    return pair if third is None else pair + (third(i, j),)
+
+
+def _verdict(mask: np.ndarray, ring: RingSpec, tag: str) -> Verdict:
+    """Fails with witness ``_first_pair(mask, ring)`` if there is one."""
+    witness = _first_pair(mask, ring)
+    return Verdict(True) if witness is None else Verdict(False, witness, tag)
 
 
 def is_lie_multiplicative(phi: MapTable) -> Verdict:
     """phi([x, y]) == [phi(x), phi(y)] over all ordered pairs."""
-    cd = phi.domain.commutator_index_table()
     cc = phi.codomain.commutator_index_table()
     v = phi.values
-    lhs = v[cd]
-    rhs = cc[v[:, None], v[None, :]]
-    bad = lhs != rhs
-    if not bad.any():
-        return Verdict(True)
-    i, j = _first_mismatch(bad)
-    return Verdict(
-        False, (phi.domain.from_index(i), phi.domain.from_index(j)), "lie-multiplicative"
-    )
+    bad = v[phi.domain.commutator_index_table()] != cc[v[:, None], v[None, :]]
+    return _verdict(bad, phi.domain, "lie-multiplicative")
+
+
+def _leibniz_table(d: MapTable) -> np.ndarray:
+    """s[x, y] = [D(x), y] + [x, D(y)] as element indices (self-maps only)."""
+    if not d.domain.compatible(d.codomain):
+        raise ValueError("derivability is defined for self-maps only")
+    c = d.domain.commutator_index_table()
+    return d.domain.add_index_table()[c[d.values, :], c[:, d.values]]
 
 
 def is_lie_derivable(d: MapTable) -> Verdict:
     """D([x, y]) == [D(x), y] + [x, D(y)] over all ordered pairs (self-maps)."""
-    if not d.domain.compatible(d.codomain):
-        raise ValueError("derivability is defined for self-maps only")
-    ring = d.domain
-    c = ring.commutator_index_table()
-    a = ring.add_index_table()
-    v = d.values
-    n = ring.size
-    idx = np.arange(n)
-    lhs = v[c]
-    rhs = a[c[v[:, None], idx[None, :]], c[idx[:, None], v[None, :]]]
-    bad = lhs != rhs
-    if not bad.any():
-        return Verdict(True)
-    i, j = _first_mismatch(bad)
-    return Verdict(False, (ring.from_index(i), ring.from_index(j)), "lie-derivable")
+    s = _leibniz_table(d)
+    bad = d.values[d.domain.commutator_index_table()] != s
+    return _verdict(bad, d.domain, "lie-derivable")
 
 
 def is_lie_triple_derivable(d: MapTable) -> Verdict:
     """D([[x,y],z]) == [[D(x),y],z] + [[x,D(y)],z] + [[x,y],D(z)] over all
-    ordered triples.  The identity is not multilinear in a set-map D, so the
-    scan is genuinely cubic; it is chunked over z and vectorised."""
-    if not d.domain.compatible(d.codomain):
-        raise ValueError("derivability is defined for self-maps only")
+    ordered triples, least z first.  The bracket is bilinear, so the first two
+    terms are [s[x, y], z] with s the Leibniz table; the identity is still not
+    multilinear in a set-map D, so the scan is cubic, vectorised per z."""
+    s = _leibniz_table(d)
     ring = d.domain
     c = ring.commutator_index_table()
     a = ring.add_index_table()
     v = d.values
-    n = ring.size
-    idx = np.arange(n)
-    dx_y = c[v[:, None], idx[None, :]]  # [D(x), y]
-    x_dy = c[idx[:, None], v[None, :]]  # [x, D(y)]
-    xy = c  # [x, y]
-    for z in range(n):
+    for z in range(ring.size):
         col = c[:, z]
-        lhs = v[col[xy]]
-        rhs = a[a[col[dx_y], col[x_dy]], c[:, int(v[z])][xy]]
-        bad = lhs != rhs
-        if bad.any():
-            i, j = _first_mismatch(bad)
-            return Verdict(
-                False,
-                (ring.from_index(i), ring.from_index(j), ring.from_index(z)),
-                "lie-triple-derivable",
-            )
+        pair = _first_pair(v[col[c]] != a[col[s], c[:, v[z]][c]], ring)
+        if pair is not None:
+            return Verdict(False, pair + (ring.from_index(z),), "lie-triple-derivable")
     return Verdict(True)
 
 
@@ -205,32 +194,19 @@ def check_almost_additive(phi: MapTable, centre: Submodule | None = None) -> Def
     central_mask = np.zeros(cod.size, dtype=bool)
     for e in centre.elements():
         central_mask[e.index] = True
-    all_zero = not defects.any()
-    bad = ~central_mask[defects]
-    witness = None
-    if bad.any():
-        i, j = _first_mismatch(bad)
-        witness = (
-            dom.from_index(i),
-            dom.from_index(j),
-            cod.from_index(int(defects[i, j])),
-        )
-    sample = None
-    if defects.any():
-        i, j = _first_mismatch(defects != 0)
-        sample = (
-            dom.from_index(i),
-            dom.from_index(j),
-            cod.from_index(int(defects[i, j])),
-        )
+
+    def defect_at(mask):
+        return _first_pair(mask, dom, lambda i, j: cod.from_index(int(defects[i, j])))
+
+    witness = defect_at(~central_mask[defects])
     return DefectReport(
         phi=phi,
         defects=defects,
         centre=centre,
-        all_zero=all_zero,
-        all_central=not bad.any(),
+        all_zero=not defects.any(),
+        all_central=witness is None,
         witness=witness,
-        sample_nonzero=sample,
+        sample_nonzero=defect_at(defects != 0),
     )
 
 

@@ -37,6 +37,11 @@ def _parse_json(text: str, where: str):
         ) from exc
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``true``/``false`` load as bools, which are ints to Python."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def ring_to_doc(ring: RingSpec) -> dict:
     return {
         "name": ring.name,
@@ -82,7 +87,7 @@ def ring_from_doc(doc, where: str = "<ring>") -> RingSpec:
             if not isinstance(cell, list) or len(cell) != d:
                 raise FormatError(f"table[{i}][{j}] must be a length-{d} vector", where)
             for l, c in enumerate(cell):
-                if not isinstance(c, int) or not 0 <= c < modulus:
+                if not _is_int(c) or not 0 <= c < modulus:
                     raise FormatError(
                         f"table[{i}][{j}][{l}] = {c!r} not an integer in [0, {modulus})",
                         where,
@@ -141,7 +146,7 @@ def map_from_doc(doc, rings: Mapping[str, RingSpec] | None = None, where: str = 
             where,
         )
     for i, v in enumerate(values):
-        if not isinstance(v, int) or not 0 <= v < codomain.size:
+        if not _is_int(v) or not 0 <= v < codomain.size:
             raise FormatError(f"values[{i}] = {v!r} not an index in [0, {codomain.size})", where)
     return domain, codomain, np.array(values, dtype=np.int64)
 

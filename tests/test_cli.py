@@ -86,6 +86,13 @@ class TestAnalyze:
         assert bad.exit_code == 1
         assert "assertion failed" in bad.output
 
+    @pytest.mark.parametrize("torsion,bad", [("0", "0"), ("-2", "-2"), ("2,0", "0")])
+    def test_torsion_below_one_is_bad_usage(self, runner, files, torsion, bad):
+        res = runner.invoke(main, ["analyze", files["triangular2"], f"--torsion={torsion}"])
+        assert res.exit_code == 2, res.output
+        assert f"--torsion value {bad}" in res.output
+        assert "Traceback" not in res.output
+
     def test_unknown_assertion_key(self, runner, files):
         res = runner.invoke(main, ["analyze", files["matrix2"], "--assert", "nope=1"])
         assert res.exit_code == 1

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from altring import RingMismatchError, Submodule, associator, canonicalize, commutator
 from altring import fixtures
-from altring.core import kernel_submodule
+from altring.core import RingSpec, kernel_submodule
+
+from helpers import BruteRing
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +160,29 @@ def test_associator_trilinearity_exhaustive_on_small_fixtures():
             ), (ring.name, "slot 3")
 
 
+def test_commutator_table_matches_oracle_on_every_pair():
+    """[x, y] from the index table equals BruteRing.comm on every pair, for
+    every catalog ring up to 256 elements at k in {2, 3, 4, 6}; composite k
+    exercises the negative entries of the antisymmetrised constants."""
+    checked = 0
+    for name in sorted(fixtures.CATALOG):
+        for k in (2, 3, 4, 6):
+            ring = fixtures.build(name, k)
+            if ring.size > 256:
+                continue
+            br = BruteRing(ring)
+            brute = [[br.index(br.comm(x, y)) for y in br.elements] for x in br.elements]
+            assert np.array_equal(ring.commutator_index_table(), brute), ring.name
+            checked += 1
+    assert checked >= 16
+
+
+def test_commutator_table_builds_no_other_table():
+    ring = fixtures.zorn(2)
+    ring.commutator_index_table()
+    assert sorted(ring._cache) == ["comm_idx", "elements", "weights"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     ring=st.sampled_from(["example2", "matrix2", "triangular2", "zorn"]),
@@ -226,3 +251,22 @@ class TestSubmodules:
 
     def test_full_submodule(self, ex2):
         assert Submodule.full(ex2).span_size() == ex2.size
+
+    def test_last_howell_row_is_least_nonzero_element(self):
+        """The witness rule of the torsion and prime criteria: the last row of
+        a Howell basis is the least nonzero element of the span by index."""
+        rng = np.random.default_rng(7)
+        checked = 0
+        for k in (4, 6, 8, 9, 12):
+            for _ in range(40):
+                d = int(rng.integers(1, 4))
+                ring = RingSpec("span", k, [f"b{i}" for i in range(d)], np.zeros((d, d, d)))
+                gens = rng.integers(0, k, size=(int(rng.integers(1, 4)), d))
+                gens[:, : int(rng.integers(0, d))] *= int(rng.choice([1, 2, 3]))
+                sub = Submodule.span(ring, gens)
+                if sub.is_zero():
+                    continue
+                least = min((e for e in sub.elements() if not e.is_zero()), key=lambda e: e.index)
+                assert sub.basis()[-1] == least, (k, gens.tolist())
+                checked += 1
+        assert checked > 150

@@ -34,6 +34,8 @@ def _maps(ring):
         maps["central_shift"] = (shift.values, "lie")
         inner = liemaps.inner_lie_derivation(ring, ring.parse_element("v1"))
         maps["inner_derivation"] = (inner.values, "lie-derivable")
+        maps["inner_derivation_triple"] = (inner.values, "lie-triple")
+        maps["swap_triple"] = (vals, "lie-triple")
     return maps
 
 

@@ -141,6 +141,54 @@ class TestDerivable:
 
             assert liemaps.is_lie_derivable(d).ok == brute_ok()
 
+    @pytest.mark.parametrize("ring_name", ["triangular2_z2", "random_z6"])
+    def test_triple_derivable_oracle_verdict_and_witness(self, ring_name, t2):
+        """Same verdict and same witness as a plain BruteRing scan: z
+        outermost, then x, then y."""
+        rng = np.random.default_rng(3)
+        if ring_name == "random_z6":
+            ring = fixtures.RingSpec(ring_name, 6, ("a", "b"), rng.integers(0, 6, size=(2, 2, 2)))
+        else:
+            ring = t2
+        br = BruteRing(ring)
+        elems = br.elements
+        n = ring.size
+        comm = {(x, y): br.comm(x, y) for x in elems for y in elems}
+
+        def brute_witness(vals):
+            tab = {x: elems[vals[br.index(x)]] for x in elems}
+            for z in elems:
+                for x in elems:
+                    for y in elems:
+                        xy = comm[x, y]
+                        lhs = tab[comm[xy, z]]
+                        rhs = br.add(
+                            br.add(comm[comm[tab[x], y], z], comm[comm[x, tab[y]], z]),
+                            comm[xy, tab[z]],
+                        )
+                        if lhs != rhs:
+                            return [br.index(x), br.index(y), br.index(z)]
+            return None
+
+        inner = [liemaps.inner_lie_derivation(ring, ring.from_index(i)).values for i in range(n)]
+        maps = [np.zeros(n, dtype=np.int64)]
+        for _ in range(12):
+            vals = rng.integers(0, n, size=n)
+            maps.append(vals)
+            maps.append(np.where(np.arange(n) == 0, 0, vals))
+            vals = inner[int(rng.integers(0, n))].copy()
+            vals[rng.integers(1, n, size=2)] = rng.integers(0, n, size=2)
+            maps.append(vals)
+        witnesses = []
+        for vals in maps:
+            v = liemaps.is_lie_triple_derivable(MapTable(ring, ring, vals))
+            expected = brute_witness(vals)
+            assert v.ok == (expected is None)
+            assert v.witness_indices() == expected
+            witnesses.append(expected)
+        assert any(w is None for w in witnesses)
+        assert any(w is not None and w[2] > 0 for w in witnesses)
+
 
 class TestDefects:
     def test_identity_all_zero(self, m2):

@@ -38,6 +38,15 @@ class TestRingFormat:
         with pytest.raises(FormatError, match=r"table\[0\]\[0\]\[0\]"):
             ringio.ring_from_doc(doc)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_coefficient_rejected(self, flag):
+        doc = ringio.ring_to_doc(fixtures.example2(2))
+        doc["table"][0][0][0] = flag
+        with pytest.raises(
+            FormatError, match=rf"table\[0\]\[0\]\[0\] = {flag} not an integer in \[0, 2\)"
+        ):
+            ringio.loads_ring(json.dumps(doc))
+
     def test_shape_errors(self):
         doc = ringio.ring_to_doc(fixtures.triangular2(2))
         doc["table"][1].pop()
@@ -101,6 +110,15 @@ class TestMapFormat:
         doc = ringio.map_to_doc(vals, t2, t2, inline=True)
         with pytest.raises(FormatError, match=r"values\[3\]"):
             ringio.map_from_doc(doc)
+
+    def test_boolean_values_rejected(self):
+        t2 = fixtures.triangular2(2)
+        doc = ringio.map_to_doc(range(t2.size), t2, t2, inline=True)
+        doc["values"][:2] = [False, True]
+        with pytest.raises(
+            FormatError, match=r"values\[0\] = False not an index in \[0, 8\)"
+        ):
+            ringio.loads_map(json.dumps(doc))
 
     def test_doc_json_native(self):
         t2 = fixtures.triangular2(2)
