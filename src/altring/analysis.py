@@ -60,12 +60,16 @@ class PeirceError(ValueError):
     """The requested Peirce decomposition does not exist or is degenerate."""
 
 
+def _product_tensors(ring: RingSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(b_i*b_j)*b_l and b_i*(b_j*b_l) at [i, j, l], each shape (d, d, d, d)."""
+    t, k = ring.table, ring.modulus
+    return np.einsum("ijm,mlr->ijlr", t, t) % k, np.einsum("jlm,imr->ijlr", t, t) % k
+
+
 def _associator_tensor(ring: RingSpec) -> np.ndarray:
     """A[i, j, l] = (b_i*b_j)*b_l - b_i*(b_j*b_l), shape (d, d, d, d)."""
-    t, k = ring.table, ring.modulus
-    outer = np.einsum("ijm,mlr->ijlr", t, t) % k
-    inner = np.einsum("jlm,imr->ijlr", t, t) % k
-    return (outer - inner) % k
+    outer, inner = _product_tensors(ring)
+    return (outer - inner) % ring.modulus
 
 
 def _first_failure(values: np.ndarray) -> tuple[int, ...] | None:
@@ -157,20 +161,12 @@ def check_linearized_flexible(ring: RingSpec) -> Verdict:
 def nucleus(ring: RingSpec) -> Submodule:
     """Elements u with (u,x,y) = (x,u,y) = (x,y,u) = 0 for all x, y.
 
-    Each slot condition is linear in u, so stacking the conditions over all
-    basis pairs and taking a kernel is exact.
+    Each slot condition is linear in u, so the kernel of the associator
+    tensor with u's slot moved to the columns is exact.
     """
-    k, d = ring.modulus, ring.dim
-    left = [ring.left_mul_matrix(b) for b in ring.basis_elements()]
-    right = [ring.right_mul_matrix(b) for b in ring.basis_elements()]
-    blocks = []
-    for i in range(d):
-        for j in range(d):
-            prod = ring.table[i, j]
-            blocks.append((right[j] @ right[i] - ring.right_mul_matrix(prod)) % k)
-            blocks.append((right[j] @ left[i] - left[i] @ right[j]) % k)
-            blocks.append((ring.left_mul_matrix(prod) - left[i] @ left[j]) % k)
-    return Submodule(ring, zmod.kernel(np.vstack(blocks), k))
+    a = _associator_tensor(ring)
+    rows = [np.moveaxis(a, slot, -1).reshape(-1, ring.dim) for slot in range(3)]
+    return Submodule(ring, zmod.kernel(np.vstack(rows), ring.modulus))
 
 
 def commutant(ring: RingSpec) -> Submodule:
@@ -179,11 +175,10 @@ def commutant(ring: RingSpec) -> Submodule:
     This is the subgroup the centralising conditions are measured against;
     for 3-torsion-free alternative rings it coincides with the centre.
     """
-    k = ring.modulus
-    blocks = [
-        (ring.right_mul_matrix(b) - ring.left_mul_matrix(b)) % k for b in ring.basis_elements()
-    ]
-    return Submodule(ring, zmod.kernel(np.vstack(blocks), k))
+    # row (x, l), column u: the l-th coefficient of u*b_x - b_x*u
+    t = ring.table
+    rows = (t - t.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(-1, ring.dim)
+    return Submodule(ring, zmod.kernel(rows, ring.modulus))
 
 
 def centre(ring: RingSpec) -> Submodule:
@@ -211,11 +206,10 @@ def is_k_torsion_free(ring: RingSpec, k: int) -> Verdict:
 
 def find_unity(ring: RingSpec) -> Element | None:
     """The unique two-sided unity, if one exists (a linear system in u)."""
-    eye = np.eye(ring.dim, dtype=np.int64)
-    rows = np.vstack(
-        [ring.right_mul_matrix(v) for v in eye] + [ring.left_mul_matrix(v) for v in eye]
-    )
-    target = np.concatenate([eye[j] for j in range(ring.dim)] * 2)
+    # rows (x, l) of u*b_x = b_x, then of b_x*u = b_x; column u
+    t, d = ring.table, ring.dim
+    rows = np.vstack([t.transpose(1, 2, 0).reshape(-1, d), t.transpose(0, 2, 1).reshape(-1, d)])
+    target = np.tile(np.eye(d, dtype=np.int64).ravel(), 2)
     sol = zmod.solve(rows, target, ring.modulus)
     return None if sol is None else ring.element(sol)
 
@@ -414,39 +408,40 @@ def ideal_generated(ring: RingSpec, a: Element) -> Submodule:
     raise RuntimeError("ideal closure failed to stabilise within dim*k passes")
 
 
-def _ideal_products_vanish(ring: RingSpec, ia: Submodule, ib: Submodule) -> bool:
-    for x in ia.basis():
-        for y in ib.basis():
-            if not (x * y).is_zero():
-                return False
-    return True
-
-
 def is_prime_by_ideals(ring: RingSpec) -> Verdict:
     """Primeness by the definition: no two nonzero ideals multiply to zero.
 
     It suffices to scan principal ideals, since every nonzero ideal contains
-    one.  Witness: the least element pair (a, b) with ideal(a)*ideal(b) = 0.
+    one, and elements that generate the same ideal have the same partners.
+    So each distinct principal ideal is tried once, as its least generator,
+    against the least generator of each distinct ideal; closures are computed
+    lazily in element-index order.  Witness: the least element pair (a, b)
+    with ideal(a)*ideal(b) = 0.
     """
-    ideals: dict[int, Submodule] = {}
-    verdicts: dict[tuple[bytes, bytes], bool] = {}
+    distinct: list[tuple[int, Submodule]] = []  # (least generator, ideal), ascending
+    seen: set[Submodule] = set()
+    todo = iter(range(1, ring.size))
 
-    def ideal_of(idx: int) -> Submodule:
-        if idx not in ideals:
-            ideals[idx] = ideal_generated(ring, ring.from_index(idx))
-        return ideals[idx]
+    def ideals():
+        """The distinct ideals in order of least generator, each element closed once."""
+        pos = 0
+        while True:
+            while len(distinct) <= pos:
+                idx = next(todo, None)
+                if idx is None:
+                    return
+                ideal = ideal_generated(ring, ring.from_index(idx))
+                if ideal not in seen:
+                    seen.add(ideal)
+                    distinct.append((idx, ideal))
+            yield distinct[pos]
+            pos += 1
 
-    for ai in range(1, ring.size):
-        ia = ideal_of(ai)
-        for bi in range(1, ring.size):
-            ib = ideal_of(bi)
-            key = (ia.rows.tobytes(), ib.rows.tobytes())
-            if key not in verdicts:
-                verdicts[key] = _ideal_products_vanish(ring, ia, ib)
-            if verdicts[key]:
-                return Verdict(
-                    False, (ring.from_index(ai), ring.from_index(bi)), "ideal-pair"
-                )
+    for a, ia in ideals():
+        for b, ib in ideals():
+            prods = np.einsum("ai,ijl,bj->abl", ia.rows, ring.table, ib.rows)
+            if not (prods % ring.modulus).any():
+                return Verdict(False, (ring.from_index(a), ring.from_index(b)), "ideal-pair")
     return Verdict(True)
 
 
@@ -455,26 +450,23 @@ def prime_criterion(ring: RingSpec, variant: str = "left") -> Verdict:
     a * R b = 0 (variant "right") forces a = 0 or b = 0.
 
     For fixed a the condition on b is linear, so each a contributes one
-    kernel computation; witness is (a, least nonzero annihilating b).
+    kernel computation; witness is (a, least nonzero annihilating b).  The
+    system M(a) is linear in a: its row (j, l), column m is the l-th
+    coefficient of (a*b_j)*b_m (left) or a*(b_j*b_m) (right), read off one
+    product tensor.
     """
     if variant not in ("left", "right"):
         raise ValueError("variant must be 'left' or 'right'")
-    k = ring.modulus
-    basis_vecs = np.eye(ring.dim, dtype=np.int64)
+    k, d = ring.modulus, ring.dim
+    outer, inner = _product_tensors(ring)
+    per_coeff = (outer if variant == "left" else inner).transpose(0, 1, 3, 2).reshape(d, -1)
+    e = ring.elements_matrix()
     for ai in range(1, ring.size):
-        a = ring.from_index(ai)
-        blocks = []
-        if variant == "left":
-            for bv in basis_vecs:
-                c = a * ring.element(bv)
-                blocks.append(ring.left_mul_matrix(c))
-        else:
-            la = ring.left_mul_matrix(a)
-            for bv in basis_vecs:
-                blocks.append((la @ ring.left_mul_matrix(ring.element(bv))) % k)
-        ker = Submodule(ring, zmod.kernel(np.vstack(blocks) % k, k))
+        ker = Submodule(ring, zmod.kernel(((e[ai] @ per_coeff) % k).reshape(-1, d), k))
         if not ker.is_zero():
-            return Verdict(False, (a, _least_nonzero(ker)), f"criterion-{variant}")
+            return Verdict(
+                False, (ring.from_index(ai), _least_nonzero(ker)), f"criterion-{variant}"
+            )
     return Verdict(True)
 
 

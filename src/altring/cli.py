@@ -4,7 +4,8 @@ Subcommands: analyze, peirce, verify-map, search-maps, fixtures (list/export).
 Reports default to human-readable text; --format json emits the machine form,
 which re-parses field-for-field.  --assert KEY=VALUE turns any report field
 (dotted path into the JSON form) into a pass/fail gate: exit code 0 iff no
-errors occurred and every requested assertion held.
+errors occurred and every requested assertion held, 1 when an assertion
+failed, 2 for bad input or usage, 3 for an internal error.
 """
 
 from __future__ import annotations
@@ -114,7 +115,22 @@ assert_option = click.option(
 output_option = click.option("--output", type=click.Path(dir_okay=False), default=None)
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group; an exception that is not click's own is an internal
+    error and exits 3 with a one-line message."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            message = str(exc).replace("\n", " ")
+            click.echo(f"error: internal: {type(exc).__name__}: {message}", err=True)
+            ctx.exit(3)
+
+
+@click.group(cls=_Main)
 @click.version_option(package_name="altring")
 def main():
     """Exact analysis of finite nonassociative rings over Z/kZ."""

@@ -19,6 +19,10 @@ from . import zmod
 # everything bigger must stay on the basis-criterion code paths.
 INDEX_TABLE_LIMIT = 4096
 
+# Every int64 computation stays below this: element indices reach k**d - 1, and
+# a product contraction sum_ij a_i*b_j*table[i, j] reaches d**2 * (k-1)**3.
+_INT64_MAX = 2**63 - 1
+
 
 class RingMismatchError(ValueError):
     """Raised when elements of different rings are combined."""
@@ -41,6 +45,11 @@ class RingSpec:
         if len(set(labels)) != len(labels):
             raise ValueError("basis labels must be pairwise distinct")
         d = len(labels)
+        if d * d * (modulus - 1) ** 3 > _INT64_MAX or modulus**d > _INT64_MAX:
+            raise ValueError(
+                f"modulus {modulus} with dimension {d} is out of range: int64 arithmetic "
+                f"needs d^2*(k-1)^3 <= 2^63-1 and k^d <= 2^63-1"
+            )
         t = np.array(table, dtype=np.int64)
         if t.shape != (d, d, d):
             raise ValueError(f"table must have shape {(d, d, d)}, got {t.shape}")

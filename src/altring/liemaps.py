@@ -186,8 +186,9 @@ def check_almost_additive(phi: MapTable, centre: Submodule | None = None) -> Def
     if centre is None:
         centre = analysis.centre(cod)
     ad = dom.add_index_table()
-    ac = cod.add_index_table()
-    neg = cod.neg_index_vector()
+    # sums and negatives depend only on the modulus and the dimension
+    additive = dom if (dom.modulus, dom.dim) == (cod.modulus, cod.dim) else cod
+    ac, neg = additive.add_index_table(), additive.neg_index_vector()
     v = phi.values
     negv = neg[v]
     defects = ac[ac[v[ad], negv[:, None]], negv[None, :]]

@@ -92,7 +92,10 @@ def ring_from_doc(doc, where: str = "<ring>") -> RingSpec:
                         f"table[{i}][{j}][{l}] = {c!r} not an integer in [0, {modulus})",
                         where,
                     )
-    return RingSpec(name, modulus, basis, table)
+    try:
+        return RingSpec(name, modulus, basis, table)
+    except ValueError as exc:
+        raise FormatError(str(exc), where) from exc
 
 
 def loads_ring(text: str, where: str = "<ring>") -> RingSpec:

@@ -162,3 +162,71 @@ def reference_identity_scans(ring):
             for x, y, z in triples
         ),
     }
+
+
+def reference_primeness(ring):
+    """The three primeness procedures as plain scans, keyed like the
+    ``primeness`` block of ``AnalysisReport.to_dict()``, each as
+    (ok, witness indices, tag).
+
+    The ideal generated by a is the closure of {a} under sums and under
+    products with basis elements on both sides; the ideal-pair scan reports
+    the least pair (a, b) in ascending element index with every product of
+    the two ideals zero.  The criteria scan a, then b, in ascending element
+    index and test (a*r)*b = 0 (left) or a*(r*b) = 0 (right) for every basis
+    element r.
+    """
+    br = BruteRing(ring)
+    basis = [tuple(int(i == p) for i in range(br.d)) for p in range(br.d)]
+    nonzero = [x for x in br.elements if x != br.zero]
+
+    def additive_span(gens):
+        span, frontier = {br.zero}, [br.zero]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = br.add(x, g)
+                if y not in span:
+                    span.add(y)
+                    frontier.append(y)
+        return span
+
+    def ideal(a):
+        gens = [a]
+        while True:
+            span = additive_span(gens)
+            new = [
+                p for x in span for b in basis for p in (br.mul(b, x), br.mul(x, b))
+                if p not in span
+            ]
+            if not new:
+                return frozenset(span)
+            gens.append(new[0])
+
+    ideals = {x: ideal(x) for x in nonzero}
+    vanishes = {}
+
+    def by_ideals():
+        for a in nonzero:
+            for b in nonzero:
+                key = (ideals[a], ideals[b])
+                if key not in vanishes:
+                    vanishes[key] = all(
+                        br.mul(x, y) == br.zero for x in ideals[a] for y in ideals[b]
+                    )
+                if vanishes[key]:
+                    return False, [br.index(a), br.index(b)], "ideal-pair"
+        return True, None, ""
+
+    def criterion(variant, product):
+        for a in nonzero:
+            for b in nonzero:
+                if all(product(a, r, b) == br.zero for r in basis):
+                    return False, [br.index(a), br.index(b)], f"criterion-{variant}"
+        return True, None, ""
+
+    return {
+        "by_ideals": by_ideals(),
+        "criterion_left": criterion("left", lambda a, r, b: br.mul(br.mul(a, r), b)),
+        "criterion_right": criterion("right", lambda a, r, b: br.mul(a, br.mul(r, b))),
+    }

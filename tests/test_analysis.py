@@ -10,7 +10,12 @@ import pytest
 from altring import analysis, canonicalize, fixtures
 from altring.analysis import PeirceError
 
-from helpers import BruteRing, brute_condition_scan, reference_identity_scans
+from helpers import (
+    BruteRing,
+    brute_condition_scan,
+    reference_identity_scans,
+    reference_primeness,
+)
 
 
 @pytest.fixture(scope="module")
@@ -429,6 +434,42 @@ class TestIdealsAndPrimeness:
                 return True
 
             assert analysis.prime_criterion(r, "left").ok == brute_left()
+
+
+class TestPrimenessWitnessOrder:
+    """Full (ok, witness, tag) of the ideal-pair scan and both criteria
+    against the plain scans of helpers.reference_primeness."""
+
+    @staticmethod
+    def _mismatches(ring):
+        expected = reference_primeness(ring)
+        got = {
+            "by_ideals": analysis.is_prime_by_ideals(ring),
+            "criterion_left": analysis.prime_criterion(ring, "left"),
+            "criterion_right": analysis.prime_criterion(ring, "right"),
+        }
+        return [
+            (ring.name, key, (v.ok, v.witness_indices(), v.tag), expected[key])
+            for key, v in got.items()
+            if (v.ok, v.witness_indices(), v.tag) != expected[key]
+        ]
+
+    @pytest.mark.parametrize(
+        "name,k",
+        [
+            (name, k)
+            for name in sorted(fixtures.CATALOG)
+            for k in (2, 3, 4)
+            if fixtures.build(name, k).size <= 81
+        ],
+    )
+    def test_catalog(self, name, k):
+        assert self._mismatches(fixtures.build(name, k)) == []
+
+    def test_random_tables(self):
+        rings = [r for r in _random_tables() if r.size <= 27]
+        assert len(rings) >= 100
+        assert [m for r in rings for m in self._mismatches(r)] == []
 
 
 class TestTheoremOneEquivalence:

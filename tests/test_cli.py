@@ -98,6 +98,29 @@ class TestAnalyze:
         assert res.exit_code == 1
         assert "no such report field" in res.output
 
+    @pytest.mark.parametrize("k,d", [(2**21 + 23, 2), (2, 64)])
+    def test_int64_overflowing_ring_is_bad_input(self, runner, tmp_path, k, d):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({
+            "name": "big", "modulus": k, "basis": [f"b{i}" for i in range(d)],
+            "table": [[[0] * d for _ in range(d)] for _ in range(d)],
+        }))
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert res.exit_code == 2, res.output
+        assert f"modulus {k} with dimension {d}" in res.output
+
+    def test_internal_error_exits_3_with_one_line(self, runner, files, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom\nsecond line")
+
+        monkeypatch.setattr(analysis, "analyze", boom)
+        res = runner.invoke(main, ["analyze", files["matrix2"]])
+        assert res.exit_code == 3
+        assert res.stderr == "error: internal: RuntimeError: boom second line\n"
+        with pytest.raises(SystemExit) as exc:
+            main.main(args=["analyze", files["matrix2"]], standalone_mode=True)
+        assert exc.value.code == 3
+
     def test_output_file(self, runner, files, tmp_path):
         out = tmp_path / "report.json"
         res = runner.invoke(

@@ -105,6 +105,32 @@ class TestIndexing:
             assert r.from_index(i).index == i
 
 
+class TestInt64Range:
+    @pytest.mark.parametrize("k,d", [(2**21 + 23, 2), (2, 64)])
+    def test_overflowing_modulus_or_dimension_refused(self, k, d):
+        with pytest.raises(ValueError, match=rf"modulus {k} with dimension {d} .*2\^63-1"):
+            RingSpec("big", k, [f"b{i}" for i in range(d)], np.zeros((d, d, d), dtype=np.int64))
+
+    def test_largest_accepted_modulus_multiplies_exactly(self):
+        k = 1_321_123  # the largest k with 2**2 * (k-1)**3 <= 2**63 - 1
+        assert 4 * (k - 1) ** 3 <= 2**63 - 1 < 4 * k**3
+        with pytest.raises(ValueError, match="out of range"):
+            RingSpec("big", k + 1, ["x", "y"], np.zeros((2, 2, 2), dtype=np.int64))
+        rng = np.random.default_rng(11)
+        tables = [np.full((2, 2, 2), k - 1)] + [rng.integers(0, k, (2, 2, 2)) for _ in range(5)]
+        for table in tables:
+            ring = RingSpec("big", k, ["x", "y"], table)
+            for x, y in [((k - 1, k - 1), (k - 1, k - 1))] + [
+                (tuple(rng.integers(0, k, 2)), tuple(rng.integers(0, k, 2))) for _ in range(5)
+            ]:
+                terms = [
+                    [int(x[i]) * int(y[j]) * int(table[i, j, l]) for i in (0, 1) for j in (0, 1)]
+                    for l in (0, 1)
+                ]
+                exact = tuple(sum(t) % k for t in terms)
+                assert (ring.element(x) * ring.element(y)).coeffs == exact
+
+
 class TestParsing:
     def test_label_sum_and_index_agree(self, ex2):
         assert ex2.parse_element("e+a11") == ex2.parse_element("24")

@@ -18,6 +18,8 @@ from altring.liemaps import MapTable
 GOLDEN = Path(__file__).parent / "golden" / "cli"
 RINGS = ("example1", "example2", "triangular2", "zorn")
 MAP_RINGS = ("triangular2", "zorn")
+# analyze only, above k = 2: a prime ring, a non-prime ring and a triangular one
+ANALYZE_RINGS = (("matrix2", 3), ("matrix2", 4), ("triangular2", 4))
 
 
 def _maps(ring):
@@ -64,6 +66,12 @@ def _cases():
                              "--kind", kind, "--format", fmt],
                         )
                     )
+    for name, k in ANALYZE_RINGS:
+        ring_name = f"{name}_z{k}"
+        for fmt, ext in (("text", "txt"), ("json", "json")):
+            out.append(
+                (f"analyze_{ring_name}.{ext}", ["analyze", f"{ring_name}.json", "--format", fmt])
+            )
     return out
 
 
@@ -78,6 +86,9 @@ def write_inputs(root: Path) -> None:
             for map_name, (values, _) in _maps(ring).items():
                 path = root / f"{ring.name}.{map_name}.map.json"
                 path.write_text(ringio.dumps_map(values, ring, ring))
+    for name, k in ANALYZE_RINGS:
+        ring = fixtures.build(name, k)
+        (root / f"{ring.name}.json").write_text(ringio.dumps_ring(ring))
 
 
 def render(argv, root: Path) -> bytes:

@@ -236,6 +236,26 @@ class TestDefects:
         assert d not in rep.centre
         assert liemaps.additivity_defect(phi, a, b) == d
 
+    def test_same_shape_codomain_builds_no_sum_table(self, t2):
+        cod = fixtures.build("zero3", 2)
+        phi = MapTable(t2, cod, np.random.default_rng(5).integers(0, cod.size, t2.size))
+        rep = liemaps.check_almost_additive(phi)
+        assert "add_idx" not in cod._cache and "neg_idx" not in cod._cache
+        for a in t2.elements():
+            for b in t2.elements():
+                assert rep.defect(a, b) == liemaps.additivity_defect(phi, a, b)
+
+    @pytest.mark.parametrize(
+        "codomain", [("matrix2", 2), ("triangular2", 3)], ids=["matrix2_z2", "triangular2_z3"]
+    )
+    def test_other_shape_codomain_defects_match(self, t2, codomain):
+        cod = fixtures.build(*codomain)
+        phi = MapTable(t2, cod, np.random.default_rng(6).integers(0, cod.size, t2.size))
+        rep = liemaps.check_almost_additive(phi)
+        for a in t2.elements():
+            for b in t2.elements():
+                assert rep.defect(a, b) == liemaps.additivity_defect(phi, a, b)
+
 
 class TestCentralShift:
     def test_zero_shift_is_identity_operation(self, m2):

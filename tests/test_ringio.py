@@ -47,6 +47,13 @@ class TestRingFormat:
         ):
             ringio.loads_ring(json.dumps(doc))
 
+    @pytest.mark.parametrize("k,d", [(2**21 + 23, 2), (2, 64)])
+    def test_int64_overflowing_ring_refused(self, k, d):
+        doc = {"name": "big", "modulus": k, "basis": [f"b{i}" for i in range(d)],
+               "table": [[[0] * d for _ in range(d)] for _ in range(d)]}
+        with pytest.raises(FormatError, match=rf"^big\.json: modulus {k} with dimension {d} "):
+            ringio.loads_ring(json.dumps(doc), where="big.json")
+
     def test_shape_errors(self):
         doc = ringio.ring_to_doc(fixtures.triangular2(2))
         doc["table"][1].pop()
