@@ -192,36 +192,54 @@ class RingSpec:
             self._cache[key] = t
         return t
 
-    def _pair_index_table(self, key: str, combine) -> np.ndarray:
-        """(n, n) table: out[i, j] = index of combine(element_i, element_j).
+    def _pair_index_table(self, key: str, constants: np.ndarray | None) -> np.ndarray:
+        """(n, n) table: out[x, y] = index of A_x y + c_x mod k.  A_x is
+        y -> sum_ij x_i y_j constants[i, j] and c_x = 0, or, when ``constants``
+        is None, A_x = I and c_x = x (the sum).
 
-        ``combine`` maps a block of coefficient rows (a, d) and all rows
-        (n, d) to the unreduced (a, n, d) coefficients; blocks keep each
-        intermediate near 2**21 entries.
+        Row x is an outer sum over the digits of y, least significant first:
+        each step adds the images of one digit's k values to every partial
+        result, and one compare reduces a sum of two residues mod k.  Digits
+        are uint8 (uint16 when 2(k-1) > 255), indices are accumulated in the
+        smallest type holding n - 1, and row blocks keep each (s, d, n) digit
+        array near 2**19 entries (larger blocks measured slower).
         """
 
         def build():
-            e, w, k, n = self.elements_matrix(), self.index_weights, self.modulus, self.size
+            e, d, k, n = self.elements_matrix(), self.dim, self.modulus, self.size
+            digit = np.uint8 if 2 * (k - 1) <= 255 else np.uint16
+            kk, index = digit(k), np.min_scalar_type(n - 1)
+            w = self.index_weights.astype(index)
+            steps = np.arange(k)
             out = np.empty((n, n), dtype=np.int64)
-            step = max(1, (1 << 21) // max(1, n * self.dim))
+            step = max(1, (1 << 19) // (n * d))
             for lo in range(0, n, step):
-                out[lo : lo + step] = (combine(e[lo : lo + step], e) % k) @ w
+                x = e[lo : lo + step]
+                s = len(x)
+                if constants is None:
+                    a, r = np.broadcast_to(np.eye(d, dtype=np.int64), (s, d, d)), x
+                else:
+                    a, r = np.einsum("ai,ijl->alj", x, constants) % k, np.zeros_like(x)
+                r = r.astype(digit)[:, :, None]
+                for j in range(d - 1, -1, -1):
+                    v = (a[:, :, j, None] * steps % k).astype(digit)
+                    r = (v[:, :, :, None] + r[:, :, None, :]).reshape(s, d, -1)
+                    r -= (r >= kk) * kk
+                idx = np.zeros((s, n), dtype=index)
+                for l in range(d):
+                    idx += r[:, l] * w[l]
+                out[lo : lo + step] = idx
             return out
 
         return self._index_table(key, build)
 
-    def _bilinear_index_table(self, key: str, table: np.ndarray) -> np.ndarray:
-        return self._pair_index_table(
-            key, lambda x, y: np.einsum("ai,ijl,bj->abl", x, table, y, optimize=True)
-        )
-
     def mul_index_table(self) -> np.ndarray:
         """(n, n) table: mul[i, j] = index of element_i * element_j."""
-        return self._bilinear_index_table("mul_idx", self.table)
+        return self._pair_index_table("mul_idx", self.table)
 
     def add_index_table(self) -> np.ndarray:
         """(n, n) table: add[i, j] = index of element_i + element_j."""
-        return self._pair_index_table("add_idx", lambda x, y: x[:, None, :] + y[None, :, :])
+        return self._pair_index_table("add_idx", None)
 
     def neg_index_vector(self) -> np.ndarray:
         """(n,) table: neg[i] = index of -element_i."""
@@ -236,7 +254,7 @@ class RingSpec:
         """(n, n) table of [x, y] element indices.  The bracket is bilinear with
         constants table[i, j] - table[j, i], so it is built like the product
         table, without the product, negation or sum tables."""
-        return self._bilinear_index_table("comm_idx", self.table - self.table.transpose(1, 0, 2))
+        return self._pair_index_table("comm_idx", self.table - self.table.transpose(1, 0, 2))
 
     # -- linear maps of multiplication -------------------------------------
 

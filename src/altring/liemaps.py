@@ -191,7 +191,13 @@ def check_almost_additive(phi: MapTable, centre: Submodule | None = None) -> Def
     ac, neg = additive.add_index_table(), additive.neg_index_vector()
     v = phi.values
     negv = neg[v]
-    defects = ac[ac[v[ad], negv[:, None]], negv[None, :]]
+    # phi(a+b) - phi(a) - phi(b), in row blocks of about 2**17 entries so no
+    # gather is n x n (blocks of 2**20 entries measured 1.8x slower at n = 4096)
+    defects = np.empty(ad.shape, dtype=np.int64)
+    step = max(1, (1 << 17) // dom.size)
+    for lo in range(0, dom.size, step):
+        rows = slice(lo, lo + step)
+        defects[rows] = ac[ac[v[ad[rows]], negv[rows, None]], negv[None, :]]
     central_mask = np.zeros(cod.size, dtype=bool)
     for e in centre.elements():
         central_mask[e.index] = True
@@ -287,10 +293,10 @@ def search_lie_multiplicative_bijections(
     n = domain.size
     cd = domain.commutator_index_table()
     cc = cod.commutator_index_table()
-    rev: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u in range(n):
-        for w in range(n):
-            rev[int(cd[u, w])].append((u, w))
+    # rev[m] = pairs (u, w) with [u, w] = m in lex order, as flat u*n + w:
+    # one stable sort of the bracket table, sliced at CSR offsets
+    rev = np.argsort(cd, axis=None, kind="stable")
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(cd.ravel(), minlength=n))))
 
     values = np.zeros(n, dtype=np.int64)
     used = np.zeros(n, dtype=bool)
@@ -300,51 +306,50 @@ def search_lie_multiplicative_bijections(
     aborted = False
 
     def feasible(m: int, y: int) -> bool:
+        # plain lists: on small rings numpy's per-element indexing costs more
+        # than the whole check
+        vals = values[: m + 1].tolist()
+        vals[m] = y
+        row, col = cd[m, : m + 1].tolist(), cd[: m + 1, m].tolist()
+        left, right = cc[y].tolist(), cc[:, y].tolist()
         for u in range(m + 1):
-            yu = y if u == m else int(values[u])
-            c1 = int(cd[m, u])
-            if c1 <= m:
-                fc = y if c1 == m else int(values[c1])
-                if fc != int(cc[y, yu]):
-                    return False
-            c2 = int(cd[u, m])
-            if c2 <= m:
-                fc = y if c2 == m else int(values[c2])
-                if fc != int(cc[yu, y]):
-                    return False
-        for (u, w) in rev[m]:
-            if u <= m and w <= m:
-                yu = y if u == m else int(values[u])
-                yw = y if w == m else int(values[w])
-                if int(cc[yu, yw]) != y:
-                    return False
+            c = row[u]
+            if c <= m and vals[c] != left[vals[u]]:
+                return False
+            c = col[u]
+            if c <= m and vals[c] != right[vals[u]]:
+                return False
+        for p in rev[offsets[m] : offsets[m + 1]].tolist():
+            u, w = divmod(p, n)
+            if u <= m and w <= m and cc[vals[u], vals[w]] != y:
+                return False
         return True
 
-    def dfs(m: int) -> bool:
-        nonlocal nodes, aborted
+    # Depth-first with an explicit stack: values[1:m] is the current path and
+    # y the next candidate image of m.  ``used`` is read only for bijections,
+    # where values[m] > 0 for m >= 1, so used[0] stays set until the end.
+    m, y = 1, 0
+    while m > 0:
         if m == n:
             found.append(MapTable(domain, cod, values.copy()))
-            return True
-        for y in range(n):
-            if require_bijection and used[y]:
+        else:
+            if require_bijection:
+                while y < n and used[y]:
+                    y += 1
+            if y < n:
+                if budget is not None and nodes >= budget:
+                    aborted = True
+                    break
+                nodes += 1
+                if feasible(m, y):
+                    values[m], used[y] = y, True
+                    m, y = m + 1, 0
+                else:
+                    y += 1
                 continue
-            if budget is not None and nodes >= budget:
-                aborted = True
-                return False
-            nodes += 1
-            if feasible(m, y):
-                values[m] = y
-                used_before = used[y]
-                used[y] = True
-                ok = dfs(m + 1)
-                used[y] = used_before if not require_bijection else False
-                values[m] = 0
-                if not ok:
-                    return False
-        return True
-
-    if n == 1:
-        found.append(MapTable(domain, cod, values.copy()))
-    else:
-        dfs(1)
+        # m is complete or has no candidate left: back to the next image of m - 1
+        m -= 1
+        y = int(values[m])
+        values[m], used[y] = 0, False
+        y += 1
     return SearchResult(maps=found, complete=not aborted, nodes=nodes)

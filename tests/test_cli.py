@@ -256,6 +256,19 @@ class TestSearchMaps:
         )
         assert res.exit_code == 0, res.output
 
+    def test_deep_budgeted_search_runs_out_of_budget(self, runner, tmp_path):
+        # matrix2_z7 has 2401 elements, and the first path goes past depth
+        # 1000, deeper than Python's default recursion limit
+        path = tmp_path / "matrix2_z7.json"
+        path.write_text(ringio.dumps_ring(fixtures.build("matrix2", 7)))
+        res = runner.invoke(
+            main, ["search-maps", str(path), "--budget", "20000", "--format", "json"]
+        )
+        assert res.exit_code == 0, res.output
+        doc = json.loads(res.output)
+        assert doc["nodes"] == 20000
+        assert doc["complete"] is False
+
     def test_nonpositive_budget_rejected(self, runner, files):
         res = runner.invoke(main, ["search-maps", files["triangular2"], "--budget", "0"])
         assert res.exit_code == 2

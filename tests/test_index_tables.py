@@ -1,0 +1,52 @@
+"""The pairwise index tables against the plain contraction (einsum % k) @ w.
+
+The tables are built as digit outer sums in small unsigned types; the
+reference here is the direct int64 contraction, over every row or, when
+n > 512, over 64 sampled rows, on seeded random structure constants at moduli
+on both sides of the switch from uint8 to uint16 digits (2(k-1) > 255) and
+at the largest table size.
+"""
+
+import numpy as np
+import pytest
+
+from altring.core import INDEX_TABLE_LIMIT, RingSpec
+
+# (dimension, modulus): d = 1 crosses the digit-width switch between k = 128
+# and k = 129, and reaches the largest modulus a table allows.
+CASES = [(1, k) for k in (127, 128, 129, 255, 256, 257, 4096)] + [(2, 64), (12, 2)]
+SAMPLED_ROWS = 64
+
+
+def _random_ring(d, k, dense, seed):
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, k, size=(d, d, d))
+    if not dense:
+        table *= rng.random((d, d, d)) < 1 / 6
+    return RingSpec(f"random_d{d}_k{k}", k, [f"b{i}" for i in range(d)], table), rng
+
+
+def _reference(ring, which, rows):
+    e, w, k, t = ring.elements_matrix(), ring.index_weights, ring.modulus, ring.table
+    x = e[rows]
+    if which == "add":
+        return ((x[:, None, :] + e[None, :, :]) % k) @ w
+    constants = t if which == "mul" else t - t.transpose(1, 0, 2)
+    return (np.einsum("ai,ijl,bj->abl", x, constants, e, optimize=True) % k) @ w
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+@pytest.mark.parametrize("d,k", CASES, ids=[f"d{d}-k{k}" for d, k in CASES])
+def test_pair_tables_match_einsum_oracle(d, k, dense):
+    ring, rng = _random_ring(d, k, dense, seed=1000 * d + k + dense)
+    n = ring.size
+    assert n <= INDEX_TABLE_LIMIT
+    rows = np.arange(n) if n <= 512 else np.sort(rng.choice(n, SAMPLED_ROWS, replace=False))
+    for which, build in (
+        ("mul", ring.mul_index_table),
+        ("add", ring.add_index_table),
+        ("comm", ring.commutator_index_table),
+    ):
+        table = build()
+        assert table.dtype == np.int64 and table.shape == (n, n)
+        assert np.array_equal(table[rows], _reference(ring, which, rows)), which
