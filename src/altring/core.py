@@ -200,15 +200,17 @@ class RingSpec:
         Row x is an outer sum over the digits of y, least significant first:
         each step adds the images of one digit's k values to every partial
         result, and one compare reduces a sum of two residues mod k.  Digits
-        are uint8 (uint16 when 2(k-1) > 255), indices are accumulated in the
-        smallest type holding n - 1, and row blocks keep each (s, d, n) digit
-        array near 2**19 entries (larger blocks measured slower).
+        are uint8 (uint16 when 2(k-1) > 255; uint8 builds measured twice as
+        fast), indices are accumulated in uint16 (n <= INDEX_TABLE_LIMIT, so
+        n - 1 fits) with every product cast first, so no step depends on
+        NumPy's scalar promotion rules, and row blocks keep each (s, d, n)
+        digit array near 2**19 entries (larger blocks measured slower).
         """
 
         def build():
             e, d, k, n = self.elements_matrix(), self.dim, self.modulus, self.size
             digit = np.uint8 if 2 * (k - 1) <= 255 else np.uint16
-            kk, index = digit(k), np.min_scalar_type(n - 1)
+            kk, index = digit(k), np.uint16
             w = self.index_weights.astype(index)
             steps = np.arange(k)
             out = np.empty((n, n), dtype=np.int64)
@@ -227,7 +229,7 @@ class RingSpec:
                     r -= (r >= kk) * kk
                 idx = np.zeros((s, n), dtype=index)
                 for l in range(d):
-                    idx += r[:, l] * w[l]
+                    idx += r[:, l].astype(index) * w[l]
                 out[lo : lo + step] = idx
             return out
 

@@ -257,16 +257,17 @@ class TestSearchMaps:
         assert res.exit_code == 0, res.output
 
     def test_deep_budgeted_search_runs_out_of_budget(self, runner, tmp_path):
-        # matrix2_z7 has 2401 elements, and the first path goes past depth
-        # 1000, deeper than Python's default recursion limit
+        # matrix2_z7 has 2401 elements, and its first 1500 candidates are all
+        # feasible, so the search reaches depth 1500, deeper than Python's
+        # default recursion limit of 1000
         path = tmp_path / "matrix2_z7.json"
         path.write_text(ringio.dumps_ring(fixtures.build("matrix2", 7)))
         res = runner.invoke(
-            main, ["search-maps", str(path), "--budget", "20000", "--format", "json"]
+            main, ["search-maps", str(path), "--budget", "1500", "--format", "json"]
         )
         assert res.exit_code == 0, res.output
         doc = json.loads(res.output)
-        assert doc["nodes"] == 20000
+        assert doc["nodes"] == 1500
         assert doc["complete"] is False
 
     def test_nonpositive_budget_rejected(self, runner, files):
