@@ -5,7 +5,9 @@ basis images: a Lie multiplicative map need not be additive, so its basis
 images do not determine it.  Verifiers run over all argument tuples using
 the rings' cached index tables; the bracket is bilinear even where D is not,
 so both derivability checks read one Leibniz table s[x, y] = [D(x), y] +
-[x, D(y)], and every failure is the lex-least (x, y) of a mismatch mask.  The
+[x, D(y)], and every failure is the lex-least (x, y) of a mismatch mask.
+The triple law reads (x, y) only through the pair ([x, y], s[x, y]), so it
+is checked once per distinct pair against every z, least z first.  The
 searcher enumerates value tables by backtracking with incremental
 bracket-constraint checks.
 """
@@ -110,41 +112,82 @@ def _leibniz_table(d: MapTable) -> np.ndarray:
     """s[x, y] = [D(x), y] + [x, D(y)] as element indices (self-maps only)."""
     if not d.domain.compatible(d.codomain):
         raise ValueError("derivability is defined for self-maps only")
-    c = d.domain.commutator_index_table()
-    return d.domain.add_index_table()[c[d.values, :], c[:, d.values]]
+    ring, v = d.domain, d.values
+    c, a, neg = ring.commutator_index_table(), ring.add_index_table(), ring.neg_index_vector()
+    # [x, D(y)] = -[D(y), x], so both terms gather rows of c, never columns;
+    # row blocks of about 2**17 entries keep the gathers small (the unblocked
+    # column gather measured 2.5-4x slower at n = 4096)
+    s = np.empty(c.shape, dtype=np.int64)
+    step = max(1, (1 << 17) // ring.size)
+    for lo in range(0, ring.size, step):
+        rows = slice(lo, lo + step)
+        s[rows] = a[c[v[rows]], neg[c[v, rows].T]]
+    return s
 
 
-def is_lie_derivable(d: MapTable) -> Verdict:
-    """D([x, y]) == [D(x), y] + [x, D(y)] over all ordered pairs (self-maps)."""
-    s = _leibniz_table(d)
+def _lie_derivable(d: MapTable, s: np.ndarray) -> Verdict:
     bad = d.values[d.domain.commutator_index_table()] != s
     return _verdict(bad, d.domain, "lie-derivable")
 
 
-def is_lie_triple_derivable(d: MapTable) -> Verdict:
-    """D([[x,y],z]) == [[D(x),y],z] + [[x,D(y)],z] + [[x,y],D(z)] over all
-    ordered triples, least z first.  The bracket is bilinear, so the first two
-    terms are [s[x, y], z] with s the Leibniz table; the identity is still not
-    multilinear in a set-map D, so the scan is cubic, vectorised per z."""
-    s = _leibniz_table(d)
+def is_lie_derivable(d: MapTable) -> Verdict:
+    """D([x, y]) == [D(x), y] + [x, D(y)] over all ordered pairs (self-maps)."""
+    return _lie_derivable(d, _leibniz_table(d))
+
+
+# entries per z-block of the triple check: its gathers stay near 8 MB of int64
+_TRIPLE_BLOCK = 1 << 20
+
+
+def _lie_triple_derivable(d: MapTable, s: np.ndarray) -> Verdict:
     ring = d.domain
+    n = ring.size
     c = ring.commutator_index_table()
     a = ring.add_index_table()
+    neg = ring.neg_index_vector()
     v = d.values
-    for z in range(ring.size):
-        col = c[:, z]
-        pair = _first_pair(v[col[c]] != a[col[s], c[:, v[z]][c]], ring)
-        if pair is not None:
-            return Verdict(False, pair + (ring.from_index(z),), "lie-triple-derivable")
+    # the law reads (x, y) only through p = [x, y] and q = s[x, y]; the
+    # distinct pairs come out of a presence bitmap in ascending (p, q)
+    seen = np.zeros((n, n), dtype=bool)
+    seen[c, s] = True
+    p, q = np.divmod(np.flatnonzero(seen), n)
+    first = np.ones(len(p), dtype=bool)
+    first[1:] = p[1:] != p[:-1]
+    rows, row_of = p[first], np.cumsum(first) - 1
+    step = max(1, _TRIPLE_BLOCK // len(p))
+    for lo in range(0, n, step):
+        z = slice(lo, lo + step)
+        # L[p, z] = D([p, z]) - [p, D(z)] for each distinct p; it must be [q, z]
+        lz = a[v[c[rows, z]], neg[c[rows[:, None], v[z]]]]
+        bad = lz[row_of] != c[q, z]
+        failing = bad.any(axis=0)
+        if failing.any():
+            col = int(np.argmax(failing))
+            bad_key = np.zeros((n, n), dtype=bool)
+            bad_key[p[bad[:, col]], q[bad[:, col]]] = True
+            pair = _first_pair(bad_key[c, s], ring)
+            return Verdict(False, pair + (ring.from_index(lo + col),), "lie-triple-derivable")
     return Verdict(True)
 
 
+def is_lie_triple_derivable(d: MapTable) -> Verdict:
+    """D([[x,y],z]) == [[D(x),y],z] + [[x,D(y)],z] + [[x,y],D(z)] over all
+    ordered triples, least z first, then the lex-least (x, y).  The bracket
+    is bilinear, so the first two terms are [s[x, y], z] with s the Leibniz
+    table, and the law reads (x, y) only through p = [x, y] and q = s[x, y]:
+    D([p, z]) - [p, D(z)] == [q, z].  Each distinct (p, q) is checked against
+    every z, in blocks of z, so the work is (distinct pairs) x n rather than
+    n^3."""
+    return _lie_triple_derivable(d, _leibniz_table(d))
+
+
 def derivable_report(d: MapTable) -> dict[str, Verdict]:
-    """Both derivability predicates, cross-checked: a Lie derivable map is
-    always Lie triple derivable, so derivable=True with triple=False would
-    indicate an internal inconsistency and raises."""
-    simple = is_lie_derivable(d)
-    triple = is_lie_triple_derivable(d)
+    """Both derivability predicates on one Leibniz table, cross-checked: a
+    Lie derivable map is always Lie triple derivable, so derivable=True with
+    triple=False would indicate an internal inconsistency and raises."""
+    s = _leibniz_table(d)
+    simple = _lie_derivable(d, s)
+    triple = _lie_triple_derivable(d, s)
     if simple.ok and not triple.ok:
         raise AssertionError(
             "map verified Lie derivable but not Lie triple derivable; "

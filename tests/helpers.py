@@ -2,10 +2,14 @@
 
 Deliberately implemented with plain Python dicts and tuples, no numpy and no
 shared code with the package's decision procedures, so that agreement is
-meaningful.  Only usable at desk scale.
+meaningful.  Only usable at desk scale.  The one exception is
+``reference_triple_derivable``, a numpy scan kept to pin a witness order at
+sizes the dict oracles cannot reach.
 """
 
 import itertools
+
+import numpy as np
 
 
 class BruteRing:
@@ -230,3 +234,27 @@ def reference_primeness(ring):
         "criterion_left": criterion("left", lambda a, r, b: br.mul(br.mul(a, r), b)),
         "criterion_right": criterion("right", lambda a, r, b: br.mul(a, br.mul(r, b))),
     }
+
+
+def reference_triple_derivable(ring, values):
+    """The Lie triple law D([[x,y],z]) == [s[x,y], z] + [[x,y], D(z)], with s
+    the Leibniz table [D(x), y] + [x, D(y)], as a per-z scan over all (x, y):
+    least z first, then the lex-least (x, y).  Returns (ok, witness indices,
+    tag).
+
+    The library decided the law this way before it checked each distinct
+    (bracket, Leibniz) pair once; the scan is kept as the oracle for the
+    witness order on rings too large for BruteRing.  Unlike the rest of this
+    module it reads the ring's numpy index tables.
+    """
+    c = ring.commutator_index_table()
+    a = ring.add_index_table()
+    v = np.asarray(values, dtype=np.int64)
+    s = a[c[v, :], c[:, v]]
+    for z in range(ring.size):
+        col = c[:, z]
+        bad = v[col[c]] != a[col[s], c[:, v[z]][c]]
+        i, j = divmod(int(np.argmax(bad)), ring.size)
+        if bad[i, j]:
+            return False, [i, j, z], "lie-triple-derivable"
+    return True, None, ""
