@@ -163,8 +163,9 @@ def _lie_triple_derivable(d: MapTable, s: np.ndarray) -> Verdict:
         failing = bad.any(axis=0)
         if failing.any():
             col = int(np.argmax(failing))
+            hit = bad[:, col]
             bad_key = np.zeros((n, n), dtype=bool)
-            bad_key[p[bad[:, col]], q[bad[:, col]]] = True
+            bad_key[p[hit], q[hit]] = True
             pair = _first_pair(bad_key[c, s], ring)
             return Verdict(False, pair + (ring.from_index(lo + col),), "lie-triple-derivable")
     return Verdict(True)
