@@ -204,13 +204,35 @@ def is_k_torsion_free(ring: RingSpec, k: int) -> Verdict:
     return Verdict(False, (_least_nonzero(ker),), f"{k}-torsion")
 
 
+def _mul_operators(ring: RingSpec) -> np.ndarray:
+    """The L_{b_i}, then the R_{b_i}, as (2d, d, d) matrices on coefficient columns."""
+    t = ring.table
+    return np.concatenate([t.transpose(0, 2, 1), t.transpose(1, 2, 0)])
+
+
+def _multiplication_algebra(ring: RingSpec) -> np.ndarray:
+    """Howell basis (r, d, d) of M(R), the unital Z/kZ-algebra generated by the
+    L_{b_i} and R_{b_i}: the span of I, multiplied by the generators on the left
+    until it stops growing.  Cached on the ring."""
+    m = ring._cache.get("mult_algebra")
+    if m is None:
+        d, k, gens = ring.dim, ring.modulus, _mul_operators(ring)
+        rows, nxt = None, np.eye(d, dtype=np.int64).reshape(1, -1)
+        while not np.array_equal(rows, nxt):
+            rows = nxt
+            prods = np.einsum("gij,rjl->gril", gens, rows.reshape(-1, d, d)).reshape(-1, d * d)
+            nxt = zmod.howell(np.vstack([rows, prods]), k, width=d * d)
+        m = rows.reshape(-1, d, d)
+        m.setflags(write=False)
+        ring._cache["mult_algebra"] = m
+    return m
+
+
 def find_unity(ring: RingSpec) -> Element | None:
-    """The unique two-sided unity, if one exists (a linear system in u)."""
-    # rows (x, l) of u*b_x = b_x, then of b_x*u = b_x; column u
-    t, d = ring.table, ring.dim
-    rows = np.vstack([t.transpose(1, 2, 0).reshape(-1, d), t.transpose(0, 2, 1).reshape(-1, d)])
-    target = np.tile(np.eye(d, dtype=np.int64).ravel(), 2)
-    sol = zmod.solve(rows, target, ring.modulus)
+    """The unique two-sided unity, if one exists: the u with L_{b_i} u = b_i
+    and R_{b_i} u = b_i for every i (a linear system in u)."""
+    target = np.tile(np.eye(ring.dim, dtype=np.int64).ravel(), 2)
+    sol = zmod.solve(_mul_operators(ring).reshape(-1, ring.dim), target, ring.modulus)
     return None if sol is None else ring.element(sol)
 
 
@@ -388,60 +410,36 @@ def check_condition(frame: PeirceFrame, side: str) -> Verdict:
 
 
 def ideal_generated(ring: RingSpec, a: Element) -> Submodule:
-    """Two-sided ideal generated by a: iterate basis products to a fixpoint
-    (one pass is not enough without associativity)."""
-    k = ring.modulus
-    rows = zmod.howell([a.vector()], k, width=ring.dim)
-    cap = ring.dim * ring.modulus + 1
-    for _ in range(cap):
-        if not rows.size:
-            return Submodule(ring, rows)
-        lefts = np.einsum("ri,ijl->rjl", rows, ring.table) % k
-        rights = np.einsum("ri,jil->rjl", rows, ring.table) % k
-        stacked = np.vstack(
-            [rows, lefts.reshape(-1, ring.dim), rights.reshape(-1, ring.dim)]
-        )
-        nxt = zmod.howell(stacked, k, width=ring.dim)
-        if nxt.shape == rows.shape and np.array_equal(nxt, rows):
-            return Submodule(ring, rows)
-        rows = nxt
-    raise RuntimeError("ideal closure failed to stabilise within dim*k passes")
+    """Two-sided ideal generated by a: the span of M(R)·a, one Howell.  Its
+    elements are sums of words in the L_{b_i} and R_{b_i} applied to a."""
+    rows = zmod.howell(_multiplication_algebra(ring) @ a.vector(), ring.modulus, width=ring.dim)
+    return Submodule(ring, rows)
 
 
 def is_prime_by_ideals(ring: RingSpec) -> Verdict:
     """Primeness by the definition: no two nonzero ideals multiply to zero.
 
-    It suffices to scan principal ideals, since every nonzero ideal contains
-    one, and elements that generate the same ideal have the same partners.
-    So each distinct principal ideal is tried once, as its least generator,
-    against the least generator of each distinct ideal; closures are computed
-    lazily in element-index order.  Witness: the least element pair (a, b)
-    with ideal(a)*ideal(b) = 0.
+    It suffices to scan principal ideals: every nonzero ideal contains one,
+    and elements generating the same ideal have the same partners, so each
+    distinct ideal is tried once, as its least generator a.  ideal(b) is
+    spanned by the m·b for m in M(R), so the partners b of a form one kernel;
+    its least nonzero element is the least partner, and no smaller element
+    generates its ideal.  Witness: the least element pair (a, b) with
+    ideal(a)*ideal(b) = 0.
     """
-    distinct: list[tuple[int, Submodule]] = []  # (least generator, ideal), ascending
+    d, mult = ring.dim, _multiplication_algebra(ring)
     seen: set[Submodule] = set()
-    todo = iter(range(1, ring.size))
-
-    def ideals():
-        """The distinct ideals in order of least generator, each element closed once."""
-        pos = 0
-        while True:
-            while len(distinct) <= pos:
-                idx = next(todo, None)
-                if idx is None:
-                    return
-                ideal = ideal_generated(ring, ring.from_index(idx))
-                if ideal not in seen:
-                    seen.add(ideal)
-                    distinct.append((idx, ideal))
-            yield distinct[pos]
-            pos += 1
-
-    for a, ia in ideals():
-        for b, ib in ideals():
-            prods = np.einsum("ai,ijl,bj->abl", ia.rows, ring.table, ib.rows)
-            if not (prods % ring.modulus).any():
-                return Verdict(False, (ring.from_index(a), ring.from_index(b)), "ideal-pair")
+    for a in range(1, ring.size):
+        ideal = ideal_generated(ring, ring.from_index(a))
+        if ideal in seen:
+            continue
+        seen.add(ideal)
+        # row (i, m, l), column j: coefficient l of i*(m b_j) for a Howell row i
+        # of ideal(a); d**2 terms of at most (k-1)**3, the bound RingSpec accepts
+        rows = np.einsum("ri,ipl,spj->rslj", ideal.rows, ring.table, mult).reshape(-1, d)
+        partners = Submodule(ring, zmod.kernel(rows, ring.modulus))
+        if not partners.is_zero():
+            return Verdict(False, (ring.from_index(a), _least_nonzero(partners)), "ideal-pair")
     return Verdict(True)
 
 

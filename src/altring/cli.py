@@ -139,7 +139,7 @@ def main():
 @main.command()
 @click.argument("ring_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--torsion", default="2,3", show_default=True, help="Comma-separated k values.")
-@click.option("--skip-primeness", is_flag=True, help="Skip the quadratic primeness scans.")
+@click.option("--skip-primeness", is_flag=True, help="Skip the ideal-pair scan and both criteria.")
 @format_option
 @assert_option
 @output_option

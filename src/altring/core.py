@@ -129,14 +129,16 @@ class RingSpec:
             yield Element(self, coeffs)
 
     def parse_element(self, text: str) -> "Element":
-        """Parse 'e+a11', '2*a11+c21' or a decimal element index."""
+        """Parse 'e+a11', '2*a11+c21' or a decimal index (read as a label only if out of range)."""
         text = text.strip()
         if not text:
             raise ValueError("empty element expression")
         try:
-            return self.from_index(int(text))
+            index = int(text)
         except ValueError:
-            pass
+            index = None
+        if index is not None and (0 <= index < self.size or text not in self.basis_labels):
+            return self.from_index(index)
         by_label = {lab: i for i, lab in enumerate(self.basis_labels)}
         coeffs = [0] * self.dim
         for term in text.split("+"):

@@ -2,14 +2,16 @@
 
 Deliberately implemented with plain Python dicts and tuples, no numpy and no
 shared code with the package's decision procedures, so that agreement is
-meaningful.  Only usable at desk scale.  The one exception is
-``reference_triple_derivable``, a numpy scan kept to pin a witness order at
-sizes the dict oracles cannot reach.
+meaningful.  Only usable at desk scale.  The exceptions are
+``reference_triple_derivable`` and ``reference_prime_by_ideals``, numpy
+scans kept to pin a witness order at sizes the dict oracles cannot reach.
 """
 
 import itertools
 
 import numpy as np
+
+from altring import zmod
 
 
 class BruteRing:
@@ -257,4 +259,62 @@ def reference_triple_derivable(ring, values):
         i, j = divmod(int(np.argmax(bad)), ring.size)
         if bad[i, j]:
             return False, [i, j, z], "lie-triple-derivable"
+    return True, None, ""
+
+
+def reference_ideal_closure(ring, a):
+    """Howell rows of the ideal generated by a, by the fixpoint the library
+    used before it closed ideals with the multiplication algebra: add the
+    products of the current rows with every basis element on both sides until
+    the span stops growing."""
+    k = ring.modulus
+    rows = zmod.howell([a.vector()], k, width=ring.dim)
+    cap = ring.dim * ring.modulus + 1
+    for _ in range(cap):
+        if not rows.size:
+            return rows
+        lefts = np.einsum("ri,ijl->rjl", rows, ring.table) % k
+        rights = np.einsum("ri,jil->rjl", rows, ring.table) % k
+        stacked = np.vstack(
+            [rows, lefts.reshape(-1, ring.dim), rights.reshape(-1, ring.dim)]
+        )
+        nxt = zmod.howell(stacked, k, width=ring.dim)
+        if nxt.shape == rows.shape and np.array_equal(nxt, rows):
+            return rows
+        rows = nxt
+    raise RuntimeError("ideal closure failed to stabilise within dim*k passes")
+
+
+def reference_prime_by_ideals(ring):
+    """The ideal-pair scan as the library ran it before it read each ideal's
+    partners off one kernel: the distinct principal ideals in order of least
+    generator, closed lazily with ``reference_ideal_closure``, and for each
+    one a, every distinct ideal b in the same order, until the two ideals
+    multiply to zero.  Returns (ok, witness indices, tag).
+
+    Unlike the dict oracles it uses numpy and the package's Howell form.
+    """
+    distinct = []  # (least generator, Howell rows), ascending
+    seen = set()
+    todo = iter(range(1, ring.size))
+
+    def ideals():
+        pos = 0
+        while True:
+            while len(distinct) <= pos:
+                idx = next(todo, None)
+                if idx is None:
+                    return
+                rows = reference_ideal_closure(ring, ring.from_index(idx))
+                if rows.tobytes() not in seen:
+                    seen.add(rows.tobytes())
+                    distinct.append((idx, rows))
+            yield distinct[pos]
+            pos += 1
+
+    for a, ia in ideals():
+        for b, ib in ideals():
+            prods = np.einsum("ai,ijl,bj->abl", ia, ring.table, ib)
+            if not (prods % ring.modulus).any():
+                return False, [a, b], "ideal-pair"
     return True, None, ""

@@ -161,6 +161,13 @@ class TestPeirce:
         res = runner.invoke(main, ["peirce", files["example2"], "--idempotent", idx])
         assert res.exit_code == 0
 
+    @pytest.mark.parametrize("idx", ["16", "-1"])
+    def test_out_of_range_index_rejected(self, runner, files, idx):
+        res = runner.invoke(main, ["peirce", files["matrix2"], "--idempotent", idx])
+        assert res.exit_code == 2, res.output
+        assert f"element index {idx} out of range [0, 16)" in res.output
+        assert "unknown basis label" not in res.output
+
     def test_json_round_trips(self, runner, files):
         res = runner.invoke(
             main, ["peirce", files["example2"], "--idempotent", "e", "--format", "json"]

@@ -146,6 +146,17 @@ class TestParsing:
         with pytest.raises(ValueError):
             ex2.parse_element("x*e")
 
+    @pytest.mark.parametrize("text,index", [("16", 16), ("-1", -1), (" 99 ", 99)])
+    def test_out_of_range_index_names_the_range(self, text, index):
+        ring = fixtures.matrix2(2)
+        with pytest.raises(ValueError, match=rf"^element index {index} out of range \[0, 16\)$"):
+            ring.parse_element(text)
+
+    def test_decimal_label_still_parses_out_of_range(self):
+        ring = RingSpec("numbered", 2, ["x", "7"], np.zeros((2, 2, 2), dtype=np.int64))
+        assert ring.parse_element("7") == ring.element([0, 1])
+        assert ring.parse_element("3") == ring.element([1, 1])
+
 
 def test_bilinearity_exhaustive_on_desk_scale_fixtures():
     """(x+y)z = xz + yz and z(x+y) = zx + zy over all element triples,

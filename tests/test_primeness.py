@@ -1,0 +1,112 @@
+"""Primeness by ideals from the multiplication algebra: witness order and
+closures against the former fixpoint-and-pair-scan algorithm
+(helpers.reference_prime_by_ideals), the dict oracle on a composite-modulus
+ring, and exact results at the largest modulus RingSpec accepts."""
+
+import numpy as np
+import pytest
+
+from altring import analysis, fixtures, zmod
+from altring.core import RingSpec
+
+from helpers import reference_ideal_closure, reference_prime_by_ideals, reference_primeness
+from test_analysis import _random_tables
+
+
+def _verdict(ring):
+    v = analysis.is_prime_by_ideals(ring)
+    return v.ok, v.witness_indices(), v.tag
+
+
+@pytest.mark.parametrize(
+    "name,k",
+    [
+        (name, k)
+        for name in sorted(fixtures.CATALOG)
+        for k in (2, 3, 4, 6)
+        if fixtures.build(name, k).size <= 1296
+    ],
+)
+def test_catalog_matches_former_scan(name, k):
+    ring = fixtures.build(name, k)
+    assert _verdict(ring) == reference_prime_by_ideals(ring)
+
+
+def test_random_tables_match_former_scan():
+    rings = [r for r in _random_tables() if r.size <= 256]
+    assert len(rings) >= 150
+    assert [r.name for r in rings if _verdict(r) != reference_prime_by_ideals(r)] == []
+
+
+@pytest.mark.parametrize("name,k", [("triangular2", 4), ("example2", 3), ("matrix2_pair", 2)])
+def test_closures_match_former_fixpoint(name, k):
+    ring = fixtures.build(name, k)
+    for x in ring.elements():
+        rows = analysis.ideal_generated(ring, x).rows
+        expected = reference_ideal_closure(ring, x)
+        assert rows.shape == expected.shape and np.array_equal(rows, expected), x
+
+
+def test_composite_modulus_against_dict_oracle():
+    """triangular2_z6 (216 elements): all three procedures, k = 2*3."""
+    ring = fixtures.triangular2(6)
+    expected = reference_primeness(ring)
+    got = {
+        "by_ideals": analysis.is_prime_by_ideals(ring),
+        "criterion_left": analysis.prime_criterion(ring, "left"),
+        "criterion_right": analysis.prime_criterion(ring, "right"),
+    }
+    assert {key: (v.ok, v.witness_indices(), v.tag) for key, v in got.items()} == expected
+
+
+class TestLargestModulus:
+    """k = 1 321 123 is the largest modulus RingSpec accepts at d = 2; the
+    partner contraction sums d**2 terms of up to (k-1)**3 there."""
+
+    K = 1_321_123  # = 47 * 28109
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        # every product is (k-1)*(b0 + b1) = -(b0 + b1), so x*y = -s(x)s(y)(b0 + b1)
+        # with s(x) = x0 + x1: ideal(b1) is the whole ring, and its partners are
+        # the elements with s = 0, the least of them (1, k-1)
+        return RingSpec("full", self.K, ["b0", "b1"], np.full((2, 2, 2), self.K - 1))
+
+    def _mul(self, ring, x, y):
+        t = ring.table.tolist()
+        return [
+            sum(int(x[i]) * int(y[j]) * t[i][j][l] for i in range(2) for j in range(2)) % self.K
+            for l in range(2)
+        ]
+
+    def _closure(self, ring, coeffs):
+        """Howell rows of the ideal generated by coeffs, products in Python ints."""
+        basis = [[1, 0], [0, 1]]
+        rows = zmod.howell([list(coeffs)], self.K, width=2)
+        while True:
+            gens = rows.tolist()
+            prods = [
+                p for r in gens for b in basis
+                for p in (self._mul(ring, b, r), self._mul(ring, r, b))
+            ]
+            nxt = zmod.howell(gens + prods, self.K, width=2)
+            if np.array_equal(nxt, rows):
+                return rows
+            rows = nxt
+
+    def test_closures_exact(self, ring):
+        k = self.K
+        for coeffs in [(0, 1), (1, k - 1), (k - 1, k - 1), (k - 1, 0), (47, 0), (47, k - 47),
+                       (28109, 5), (123457, 654321)]:
+            got = analysis.ideal_generated(ring, ring.element(coeffs)).rows
+            assert np.array_equal(got, self._closure(ring, coeffs)), coeffs
+
+    def test_witness_confirmed_in_python_ints(self, ring):
+        v = analysis.is_prime_by_ideals(ring)
+        assert not v.ok and v.tag == "ideal-pair"
+        a, b = v.witness
+        assert (a.index, b.index) == (1, 2 * self.K - 1)
+        rows_a = self._closure(ring, a.coeffs).tolist()
+        rows_b = self._closure(ring, b.coeffs).tolist()
+        assert rows_a and rows_b
+        assert all(self._mul(ring, x, y) == [0, 0] for x in rows_a for y in rows_b)
