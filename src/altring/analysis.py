@@ -236,16 +236,20 @@ def find_unity(ring: RingSpec) -> Element | None:
     return None if sol is None else ring.element(sol)
 
 
+def _squares(ring: RingSpec, e: np.ndarray) -> np.ndarray:
+    """x*x mod k for every row x of e."""
+    return np.einsum("ai,ijl,aj->al", e, ring.table, e, optimize=True) % ring.modulus
+
+
 def idempotents(ring: RingSpec) -> list[Element]:
     """All e with e*e = e, ascending by element index."""
-    n, k = ring.size, ring.modulus
+    n = ring.size
     e = ring.elements_matrix()
     w = ring.index_weights
     out = []
     step = max(1, (1 << 20) // max(1, ring.dim ** 2))
     for lo in range(0, n, step):
-        blk = e[lo : lo + step]
-        sq = np.einsum("ai,ijl,aj->al", blk, ring.table, blk, optimize=True) % k
+        sq = _squares(ring, e[lo : lo + step])
         hits = np.nonzero(sq @ w == np.arange(lo, min(lo + step, n)))[0]
         out.extend(int(lo + h) for h in hits)
     return [ring.from_index(i) for i in out]
@@ -359,9 +363,11 @@ def check_peirce_relations(frame: PeirceFrame) -> Verdict:
                     if (x * y) not in target:
                         return Verdict(False, (x, y), tag)
     for (i, j) in [(1, 2), (2, 1)]:
-        for x in frame.component(i, j).elements_by_index():
-            if not (x * x).is_zero():
-                return Verdict(False, (x, x), f"square in R{i}{j}")
+        elems = frame.component(i, j).elements_matrix()
+        hit = _first_failure(_squares(frame.ring, elems))
+        if hit is not None:
+            x = frame.ring.element(elems[hit[0]])
+            return Verdict(False, (x, x), f"square in R{i}{j}")
     return Verdict(True)
 
 
@@ -403,10 +409,9 @@ def check_condition(frame: PeirceFrame, side: str) -> Verdict:
     z = commutant(frame.ring)
     if z.contains_submodule(sub):
         return Verdict(True, tag=f"condition-{side}")
-    witness = min(
-        (s for s in sub.elements() if not z.contains(s)), key=lambda s: s.index
-    )
-    return Verdict(False, (witness,), f"condition-{side}")
+    elems = sub.elements_matrix()
+    outside = elems[~zmod.member(z.rows, elems, frame.ring.modulus)]
+    return Verdict(False, (frame.ring.element(outside[0]),), f"condition-{side}")
 
 
 def ideal_generated(ring: RingSpec, a: Element) -> Submodule:

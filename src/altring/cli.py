@@ -38,15 +38,17 @@ def _emit(text: str, output: str | None) -> None:
         click.echo(text, nl=False)
         return
     directory = os.path.dirname(os.path.abspath(output)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".altring-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".altring-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, output)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ToolError(f"cannot write {output}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _flatten_doc(doc, prefix=""):
@@ -246,10 +248,15 @@ def peirce(ring_file, idempotent, fmt, assertions, output):
 def verify_map(files, kind, fmt, assertions, output):
     """Verify a map file against ring file(s): FILES = RING... MAP."""
     *ring_files, map_file = files
-    rings = {}
+    rings, sources = {}, {}
     for rf in ring_files:
         ring = _load_ring(rf)
-        rings[ring.name] = ring
+        if rings.get(ring.name, ring) != ring:
+            raise ToolError(
+                f"ring files {sources[ring.name]} and {rf} both name a ring "
+                f"{ring.name!r}, but the rings differ"
+            )
+        rings[ring.name], sources[ring.name] = ring, rf
     try:
         domain, codomain, values = ringio.load_map(map_file, rings)
     except (ringio.FormatError, OSError) as exc:

@@ -399,15 +399,13 @@ class Submodule:
         return zmod.span_count(self.rows, self.ring.modulus)
 
     def contains(self, x: Element) -> bool:
-        return zmod.member(self.rows, x.vector(), self.ring.modulus)
+        return bool(zmod.member(self.rows, x.vector(), self.ring.modulus))
 
     def __contains__(self, x: Element) -> bool:
         return self.contains(x)
 
     def contains_submodule(self, other: "Submodule") -> bool:
-        return all(
-            zmod.member(self.rows, row, self.ring.modulus) for row in other.rows
-        )
+        return bool(zmod.member(self.rows, other.rows, self.ring.modulus).all())
 
     def __le__(self, other: "Submodule") -> bool:
         return other.contains_submodule(self)
@@ -435,11 +433,16 @@ class Submodule:
 
     def elements(self):
         """Iterate every element of the span exactly once."""
-        for vec in zmod.span_elements(self.rows, self.ring.modulus, self.ring.dim):
-            yield Element(self.ring, tuple(int(c) for c in vec))
+        for vec in zmod.span_elements(self.rows, self.ring.modulus, self.ring.dim).tolist():
+            yield Element(self.ring, tuple(vec))
+
+    def elements_matrix(self) -> np.ndarray:
+        """(span_size, dim) array of the span's elements in ascending index order."""
+        e = zmod.span_elements(self.rows, self.ring.modulus, self.ring.dim)
+        return e[np.argsort(e @ self.ring.index_weights)]
 
     def elements_by_index(self) -> list[Element]:
-        return sorted(self.elements(), key=lambda e: e.index)
+        return [Element(self.ring, tuple(vec)) for vec in self.elements_matrix().tolist()]
 
     def basis(self) -> list[Element]:
         return [Element(self.ring, tuple(int(c) for c in row)) for row in self.rows]

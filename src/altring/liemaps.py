@@ -244,8 +244,7 @@ def check_almost_additive(phi: MapTable, centre: Submodule | None = None) -> Def
         rows = slice(lo, lo + step)
         defects[rows] = ac[ac[v[ad[rows]], negv[rows, None]], negv[None, :]]
     central_mask = np.zeros(cod.size, dtype=bool)
-    for e in centre.elements():
-        central_mask[e.index] = True
+    central_mask[centre.elements_matrix() @ cod.index_weights] = True
 
     def defect_at(mask):
         return _first_pair(mask, dom, lambda i, j: cod.from_index(int(defects[i, j])))

@@ -50,11 +50,11 @@ def unit_multiplier(a: int, k: int) -> int:
 def as_matrix(rows, k: int, width: int | None = None) -> np.ndarray:
     """Coerce ``rows`` to a 2-D int64 array reduced mod k."""
     a = np.array(rows, dtype=np.int64)
+    if a.ndim == 2:
+        return a % k
     if a.size == 0:
         return np.zeros((0, width or 0), dtype=np.int64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
-    return a % k
+    return a.reshape(1, -1) % k
 
 
 def _howell_inplace(work: list[np.ndarray], k: int, npivot: int) -> int:
@@ -151,36 +151,36 @@ def pivots(h: np.ndarray) -> list[tuple[int, int]]:
 
 
 def reduce_mod_span(h: np.ndarray, v, k: int) -> np.ndarray:
-    """Residue of v after reduction against Howell rows h (zero iff member)."""
+    """Residue of v after reduction against Howell rows h (zero iff member).
+
+    v is one vector or a (m, w) batch, reduced row by row in one pass over
+    the pivots of h.  Later rows are zero at column c, so a remainder left
+    there by a pivot p that does not divide v[c] stays in the residue."""
     v = np.array(v, dtype=np.int64) % k
     for row, (c, p) in zip(h, pivots(h)):
-        if v[c] % p == 0:
-            q = (int(v[c]) // p) % k
-            if q:
-                v = (v - q * row) % k
+        v = (v - (v[..., c] // p)[..., None] * row) % k
     return v
 
 
-def member(h: np.ndarray, v, k: int) -> bool:
-    """Is v in the row span of the Howell-form matrix h?"""
-    return not reduce_mod_span(h, v, k).any()
+def member(h: np.ndarray, v, k: int) -> np.bool_ | np.ndarray:
+    """Is v in the row span of the Howell-form matrix h?  One bool per row
+    when v is a (m, w) batch."""
+    return np.logical_not(reduce_mod_span(h, v, k).any(axis=-1))
 
 
 def solve(mat, target, k: int) -> np.ndarray | None:
-    """A particular solution x of mat @ x == target mod k, or None."""
+    """A particular solution x of mat @ x == target mod k, or None.
+
+    With H == U @ mat.T, reducing (target, 0) against the rows (H, U)
+    subtracts sum q_i (H_i, U_i) and leaves (residual, -x)."""
     a = as_matrix(mat, k)
     t = np.array(target, dtype=np.int64) % k
     h, u, _ = howell_transformed(a.T, k)
-    coeffs = np.zeros(len(h), dtype=np.int64)
-    residual = t.copy()
-    for i, (row, (c, p)) in enumerate(zip(h, pivots(h))):
-        if residual[c] % p == 0:
-            q = (int(residual[c]) // p) % k
-            residual = (residual - q * row) % k
-            coeffs[i] = q
-    if residual.any():
+    padded = np.concatenate([t, np.zeros(a.shape[1], dtype=np.int64)])
+    res = reduce_mod_span(np.hstack([h, u]), padded, k)
+    if res[: len(t)].any():
         return None
-    x = (coeffs @ u) % k
+    x = -res[len(t) :] % k
     assert not ((a @ x - t) % k).any()
     return x
 
@@ -206,29 +206,13 @@ def span_count(h: np.ndarray, k: int) -> int:
     return n
 
 
-def span_elements(h: np.ndarray, k: int, width: int):
-    """Iterate every element of the span exactly once.
+def span_elements(h: np.ndarray, k: int, width: int) -> np.ndarray:
+    """Every element of the span exactly once, as a (count, width) array.
 
     Row i is taken with coefficients in [0, k/p_i); for a Howell basis this
-    enumerates the span without repeats.
+    enumerates the span without repeats.  The coefficients run in counter
+    order, the last row's fastest; the empty span gives one zero row.
     """
-    if not h.size:
-        yield np.zeros(width, dtype=np.int64)
-        return
     ranges = [k // p for _, p in pivots(h)]
-    counters = [0] * len(ranges)
-    while True:
-        acc = np.zeros(width, dtype=np.int64)
-        for c, row in zip(counters, h):
-            if c:
-                acc = acc + c * row
-        yield acc % k
-        i = len(counters) - 1
-        while i >= 0:
-            counters[i] += 1
-            if counters[i] < ranges[i]:
-                break
-            counters[i] = 0
-            i -= 1
-        if i < 0:
-            return
+    coeffs = np.indices(ranges, dtype=np.int64).reshape(len(ranges), math.prod(ranges))
+    return coeffs.T @ np.reshape(h, (len(ranges), width)) % k

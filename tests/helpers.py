@@ -4,7 +4,9 @@ Deliberately implemented with plain Python dicts and tuples, no numpy and no
 shared code with the package's decision procedures, so that agreement is
 meaningful.  Only usable at desk scale.  The exceptions are
 ``reference_triple_derivable`` and ``reference_prime_by_ideals``, numpy
-scans kept to pin a witness order at sizes the dict oracles cannot reach.
+scans kept to pin a witness order at sizes the dict oracles cannot reach,
+and ``reference_span_elements``, the former span enumeration kept to pin
+its order.
 """
 
 import itertools
@@ -318,3 +320,29 @@ def reference_prime_by_ideals(ring):
             if not (prods % ring.modulus).any():
                 return False, [a, b], "ideal-pair"
     return True, None, ""
+
+
+def reference_span_elements(h, k, width):
+    """Every element of the span of the Howell rows h, one vector at a time:
+    row i with coefficients in [0, k/p_i), counted with the last row's
+    coefficient fastest (the enumeration ``zmod.span_elements`` replaced)."""
+    if not h.size:
+        yield np.zeros(width, dtype=np.int64)
+        return
+    ranges = [k // p for _, p in zmod.pivots(h)]
+    counters = [0] * len(ranges)
+    while True:
+        acc = np.zeros(width, dtype=np.int64)
+        for c, row in zip(counters, h):
+            if c:
+                acc = acc + c * row
+        yield acc % k
+        i = len(counters) - 1
+        while i >= 0:
+            counters[i] += 1
+            if counters[i] < ranges[i]:
+                break
+            counters[i] = 0
+            i -= 1
+        if i < 0:
+            return

@@ -320,6 +320,28 @@ class TestPeirce:
         assert any(not p.is_zero() for p in prods)
         assert all(p in fr.r21 for p in prods)
 
+    @pytest.mark.parametrize("side", ["12", "21"])
+    def test_nonzero_square_in_off_diagonal_component(self, side):
+        """Rule (iv) alone fails: a, b span R{side}, c spans the other
+        off-diagonal component, a*b = c and no other product of a, b, c is
+        nonzero, so R{side}*R{side} <= R{side[::-1]} holds but (a+b)^2 = c."""
+        e, f, a, b, c = range(5)
+        left, right = (e, f) if side == "12" else (f, e)
+        t = np.zeros((5, 5, 5), dtype=int)
+        t[e, e, e] = t[f, f, f] = t[a, b, c] = 1
+        for x in (a, b):
+            t[left, x, x] = t[x, right, x] = 1  # R12 has e*x = x = x*f
+        t[right, c, c] = t[c, left, c] = 1
+        ring = fixtures.RingSpec("squares", 4, ["e", "f", "a", "b", "c"], t)
+        fr = analysis.peirce(ring, ring.parse_element("e"))
+        v = analysis.check_peirce_relations(fr)
+        comp = {x.coeffs for x in fr.component(int(side[0]), int(side[1])).elements()}
+        br = BruteRing(ring)
+        expect = next(x for x in br.elements if x in comp and br.mul(x, x) != br.zero)
+        assert (v.ok, v.tag) == (False, f"square in R{side}")
+        assert v.witness == (ring.element(expect),) * 2
+        assert v.witness[0] == ring.parse_element("a+b")
+
     def test_compatibility_identity_all_elements(self, ex2):
         e1 = ex2.parse_element("e")
         for a in ex2.elements():
@@ -362,6 +384,16 @@ class TestConditions:
             hyp, good, bad = brute_condition_scan(m2, fr, side, commut)
             assert not bad
             assert len(hyp) == 2  # scalars only
+
+    def test_matrix2_pair_witnesses_against_elementwise_scan(self):
+        r = fixtures.build("matrix2_pair", 2)
+        fr = analysis.peirce(r, r.parse_element("e11.1"))
+        commut = [tuple(e.coeffs) for e in analysis.commutant(r).elements()]
+        for side in ("12", "21"):
+            v = analysis.check_condition(fr, side)
+            hyp, good, bad = brute_condition_scan(r, fr, side, commut)
+            assert not v.ok
+            assert v.witness == (r.element(bad[0]),)
 
     def test_triangular2_condition_21_vacuous_hypothesis_fails(self, t2):
         # R21 = 0 so the hypothesis holds for all of R11+R22, which is not

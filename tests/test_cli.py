@@ -129,6 +129,19 @@ class TestAnalyze:
         assert res.exit_code == 0
         assert json.loads(out.read_text())["flags"]["associative"] is True
 
+    @pytest.mark.parametrize("command", ["analyze", "export"])
+    def test_output_into_missing_directory_is_bad_input(self, runner, files, tmp_path, command):
+        out = tmp_path / "missing" / "out.json"
+        args = {
+            "analyze": ["analyze", files["matrix2"], "--output", str(out)],
+            "export": ["fixtures", "export", "matrix2", "--output", str(out)],
+        }[command]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2
+        assert f"cannot write {out}" in res.output
+        assert ".altring-" not in res.output
+        assert not (tmp_path / "missing").exists()
+
 
 class TestPeirce:
     def test_example1(self, runner, files):
@@ -243,6 +256,24 @@ class TestVerifyMap:
             res = runner.invoke(main, ["verify-map", "cross.json", "--kind", "lie-derivable"])
         assert res.exit_code == 2
         assert "self-map" in res.output
+
+    def test_same_name_for_different_rings_rejected(self, runner, tmp_path):
+        t2 = fixtures.triangular2(2)
+        zero = fixtures.RingSpec("R", 2, t2.basis_labels, np.zeros_like(t2.table))
+        tri = fixtures.RingSpec("R", 2, t2.basis_labels, t2.table)
+        a, z, m = tmp_path / "a.json", tmp_path / "z.json", tmp_path / "m.json"
+        a.write_text(ringio.dumps_ring(tri))
+        z.write_text(ringio.dumps_ring(zero))
+        m.write_text(ringio.dumps_map(range(t2.size), tri, tri))
+        for first, second in [(a, z), (z, a)]:
+            res = runner.invoke(main, ["verify-map", str(first), str(second), str(m)])
+            assert res.exit_code == 2
+            assert str(first) in res.output and str(second) in res.output
+        copy = tmp_path / "copy.json"
+        copy.write_text(ringio.dumps_ring(tri))
+        res = runner.invoke(main, ["verify-map", str(a), str(copy), str(m), "--format", "json"])
+        assert res.exit_code == 0, res.output
+        assert json.loads(res.output)["verdict"]["ok"] is True
 
 
 class TestSearchMaps:

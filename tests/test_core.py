@@ -11,7 +11,7 @@ from altring import RingMismatchError, Submodule, associator, canonicalize, comm
 from altring import fixtures
 from altring.core import RingSpec, kernel_submodule
 
-from helpers import BruteRing
+from helpers import BruteRing, reference_span_elements
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +286,10 @@ class TestSubmodules:
         assert sub.span_size() == 8
         assert all((2 * e).is_zero() for e in sub.elements())
 
+    def test_kernel_submodule_of_no_equations_is_the_ring(self):
+        m2 = fixtures.matrix2(2)
+        assert kernel_submodule(m2, np.zeros((0, 4), dtype=int)) == Submodule.full(m2)
+
     def test_full_submodule(self, ex2):
         assert Submodule.full(ex2).span_size() == ex2.size
 
@@ -307,3 +311,24 @@ class TestSubmodules:
                 assert sub.basis()[-1] == least, (k, gens.tolist())
                 checked += 1
         assert checked > 150
+
+    def test_elements_orders_against_reference(self):
+        """elements() keeps the counter order of the former enumeration, and
+        elements_matrix() and elements_by_index() run in ascending index
+        order, also where non-unit pivots make the two orders differ."""
+        rng = np.random.default_rng(11)
+        differ = 0
+        for k in (2, 4, 6, 8, 9, 12):
+            for _ in range(25):
+                d = int(rng.integers(1, 4))
+                ring = RingSpec("span", k, [f"b{i}" for i in range(d)], np.zeros((d, d, d)))
+                gens = rng.integers(0, k, size=(int(rng.integers(0, 4)), d))
+                gens[:, : int(rng.integers(0, d + 1))] *= int(rng.choice([1, 2, 3]))
+                sub = Submodule.span(ring, gens)
+                ref = [tuple(int(c) for c in v) for v in reference_span_elements(sub.rows, k, d)]
+                assert [e.coeffs for e in sub.elements()] == ref
+                by_index = sorted(ref, key=lambda c: ring.element(c).index)
+                assert [tuple(v) for v in sub.elements_matrix().tolist()] == by_index
+                assert [e.coeffs for e in sub.elements_by_index()] == by_index
+                differ += by_index != ref
+        assert differ > 5

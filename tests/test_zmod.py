@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from altring import zmod
 
+from helpers import reference_span_elements
+
 MODULI = [2, 3, 4, 6, 8, 9, 12]
 
 
@@ -77,6 +79,19 @@ def test_membership_matches_brute_span(data):
 
 
 @settings(max_examples=100, deadline=None)
+@given(small_matrix, st.integers(0, 2**32 - 1))
+def test_batched_membership_matches_brute_span(data, seed):
+    k, rows = data
+    h = zmod.howell(rows, k, width=3)
+    span = brute_span(rows, k)
+    batch = np.random.default_rng(seed).integers(0, k, size=(int(seed % 9), 3))
+    batch = np.vstack([batch, h, np.zeros((1, 3), dtype=np.int64)])
+    got = zmod.member(h, batch, k)
+    assert got.shape == (len(batch),)
+    assert got.tolist() == [tuple(int(c) for c in v) in span for v in batch]
+
+
+@settings(max_examples=100, deadline=None)
 @given(small_matrix)
 def test_span_elements_enumerates_exactly(data):
     k, rows = data
@@ -84,6 +99,7 @@ def test_span_elements_enumerates_exactly(data):
     listed = [tuple(int(c) for c in v) for v in zmod.span_elements(h, k, 3)]
     assert len(listed) == len(set(listed)) == zmod.span_count(h, k)
     assert set(listed) == brute_span(rows, k)
+    assert listed == [tuple(int(c) for c in v) for v in reference_span_elements(h, k, 3)]
 
 
 @pytest.mark.parametrize("k", MODULI)
@@ -105,6 +121,7 @@ def test_kernel_matches_brute_force(k):
 def test_kernel_known_cases():
     assert zmod.kernel(np.zeros((3, 3), dtype=int), 2).shape == (3, 3)  # full space
     assert zmod.kernel(np.eye(3, dtype=int), 2).shape == (0, 3)  # zero space
+    assert zmod.kernel(np.zeros((0, 3), dtype=int), 4).shape == (3, 3)  # no equations
     ker = zmod.kernel([[2]], 4)  # v -> 2v on Z4
     assert ker.tolist() == [[2]]
     assert sorted(tuple(v) for v in zmod.span_elements(ker, 4, 1)) == [(0,), (2,)]
@@ -155,3 +172,5 @@ def test_empty_and_zero_inputs():
     assert zmod.howell([], 5, width=4).shape == (0, 4)
     assert zmod.howell([[0, 0, 0]], 5).shape == (0, 3)
     assert zmod.member(zmod.howell([], 5, width=2), [0, 0], 5)
+    assert zmod.span_elements(zmod.howell([], 5, width=2), 5, 2).tolist() == [[0, 0]]
+    assert zmod.solve(np.zeros((0, 3), dtype=int), [], 4).tolist() == [0, 0, 0]
