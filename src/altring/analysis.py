@@ -263,13 +263,15 @@ def nontrivial_idempotents(ring: RingSpec) -> list[Element]:
     ]
 
 
-def _peirce_project(e1: Element, a: Element) -> dict[tuple[int, int], Element]:
-    """The four Peirce projections of a at the idempotent e1."""
-    p11 = e1 * (a * e1)
-    p12 = e1 * a - p11
-    p21 = a * e1 - p11
-    p22 = a - e1 * a - a * e1 + p11
-    return {(1, 1): p11, (1, 2): p12, (2, 1): p21, (2, 2): p22}
+def _peirce_projections(ring: RingSpec, e1: Element) -> dict[tuple[int, int], np.ndarray]:
+    """The four Peirce projections at e1 as d x d matrices on coefficient
+    columns: with L = L_{e1} and R = R_{e1}, P11 = LR (a -> e1(ae1)),
+    P12 = L - P11, P21 = R - P11 and P22 = I - L - R + P11, all mod k."""
+    k = ring.modulus
+    lm, rm = ring.left_mul_matrix(e1), ring.right_mul_matrix(e1)
+    p11 = lm @ rm % k
+    p22 = (np.eye(ring.dim, dtype=np.int64) - lm - rm + p11) % k
+    return {(1, 1): p11, (1, 2): (lm - p11) % k, (2, 1): (rm - p11) % k, (2, 2): p22}
 
 
 @dataclass(frozen=True)
@@ -290,7 +292,8 @@ class PeirceFrame:
         ]
 
     def project(self, a: Element) -> dict[tuple[int, int], Element]:
-        return _peirce_project(self.e1, a)
+        projections = _peirce_projections(self.ring, self.e1)
+        return {key: self.ring.element(p @ a.vector()) for key, p in projections.items()}
 
     def diagonal_sum(self) -> Submodule:
         return self.r11 + self.r22
@@ -301,32 +304,30 @@ def peirce(ring: RingSpec, e1: Element) -> PeirceFrame:
 
     Raises PeirceError if e1 is not a nontrivial idempotent, if the
     compatibility identity (e1*a)*e1 = e1*(a*e1) fails (the projections
-    would be ambiguous), or if the four components fail to decompose the
-    ring directly.
+    would be ambiguous), or if two components overlap.  The components
+    always span the ring: the four projections sum to the identity.
     """
     if not ring.compatible(e1.ring):
         raise PeirceError("idempotent belongs to a different ring")
     if e1.is_zero():
         raise PeirceError("the zero element is not a usable idempotent")
-    if e1 * e1 != e1:
+    k, eye = ring.modulus, np.eye(ring.dim, dtype=np.int64)
+    lm, rm = ring.left_mul_matrix(e1), ring.right_mul_matrix(e1)
+    if (lm @ e1.vector() % k != e1.vector()).any():
         raise PeirceError(f"{e1.label()} is not an idempotent")
-    unity = find_unity(ring)
-    if unity is not None and e1 == unity:
+    # e1 is the unity exactly when e1*b = b = b*e1 for every basis element b
+    if np.array_equal(lm, eye) and np.array_equal(rm, eye):
         raise PeirceError("the unity is a trivial idempotent")
-    for b in ring.basis_elements():
-        if (e1 * b) * e1 != e1 * (b * e1):
-            raise PeirceError(
-                f"compatibility (e1*a)*e1 = e1*(a*e1) fails at a = {b.label()}"
-            )
+    # column b of RL - LR is (e1*b)*e1 - e1*(b*e1)
+    hit = _first_failure(((rm @ lm - lm @ rm) % k).T)
+    if hit is not None:
+        raise PeirceError(
+            f"compatibility (e1*a)*e1 = e1*(a*e1) fails at a = {ring.basis_labels[hit[0]]}"
+        )
 
     # Components are spanned by the basis projections (projections are linear).
-    parts = [_peirce_project(e1, b) for b in ring.basis_elements()]
-    subs = {key: Submodule.span(ring, [p[key] for p in parts]) for key in parts[0]}
-    frame = PeirceFrame(ring, e1, subs[(1, 1)], subs[(1, 2)], subs[(2, 1)], subs[(2, 2)])
-
-    total = subs[(1, 1)] + subs[(1, 2)] + subs[(2, 1)] + subs[(2, 2)]
-    if total != Submodule.full(ring):
-        raise PeirceError("Peirce components do not span the ring")
+    projections = _peirce_projections(ring, e1)
+    subs = {key: Submodule(ring, zmod.howell(p.T, k)) for key, p in projections.items()}
     keys = list(subs)
     for a in range(len(keys)):
         for b in range(a + 1, len(keys)):
@@ -334,7 +335,7 @@ def peirce(ring: RingSpec, e1: Element) -> PeirceFrame:
                 raise PeirceError(
                     f"components R{keys[a][0]}{keys[a][1]} and R{keys[b][0]}{keys[b][1]} overlap"
                 )
-    return frame
+    return PeirceFrame(ring, e1, subs[(1, 1)], subs[(1, 2)], subs[(2, 1)], subs[(2, 2)])
 
 
 def check_peirce_relations(frame: PeirceFrame) -> Verdict:
@@ -345,28 +346,30 @@ def check_peirce_relations(frame: PeirceFrame) -> Verdict:
     (iii) Rij * Rkl = 0 when j != k and (i,j) != (k,l),
     (iv)  x*x = 0 for every element x of an off-diagonal component.
 
-    (i)-(iii) are bilinear so basis products suffice; (iv) is quadratic and
-    runs over every component element.
+    (i)-(iii) are bilinear so products of Howell basis rows suffice, one
+    batch per component pair; (iv) is quadratic and runs over every
+    component element.
     """
+    ring, k = frame.ring, frame.ring.modulus
     for (i, j) in [(1, 1), (1, 2), (2, 1), (2, 2)]:
         for (kk, l) in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-            a = frame.component(i, j)
-            b = frame.component(kk, l)
+            a = frame.component(i, j).rows
+            b = frame.component(kk, l).rows
             if j == kk:
                 target, tag = frame.component(i, l), f"R{i}{j}*R{kk}{l}<=R{i}{l}"
             elif (i, j) == (kk, l):
                 target, tag = frame.component(j, i), f"R{i}{j}*R{i}{j}<=R{j}{i}"
             else:
-                target, tag = Submodule.zero(frame.ring), f"R{i}{j}*R{kk}{l}=0"
-            for x in a.basis():
-                for y in b.basis():
-                    if (x * y) not in target:
-                        return Verdict(False, (x, y), tag)
+                target, tag = Submodule.zero(ring), f"R{i}{j}*R{kk}{l}=0"
+            prods = np.einsum("xi,ijl,yj->xyl", a, ring.table, b) % k
+            hit = _first_failure(zmod.reduce_mod_span(target.rows, prods, k))
+            if hit is not None:
+                return Verdict(False, (ring.element(a[hit[0]]), ring.element(b[hit[1]])), tag)
     for (i, j) in [(1, 2), (2, 1)]:
         elems = frame.component(i, j).elements_matrix()
-        hit = _first_failure(_squares(frame.ring, elems))
+        hit = _first_failure(_squares(ring, elems))
         if hit is not None:
-            x = frame.ring.element(elems[hit[0]])
+            x = ring.element(elems[hit[0]])
             return Verdict(False, (x, x), f"square in R{i}{j}")
     return Verdict(True)
 
@@ -378,20 +381,14 @@ def condition_subspace(frame: PeirceFrame, side: str) -> Submodule:
         raise ValueError("side must be '12' or '21'")
     comp = frame.r12 if side == "12" else frame.r21
     diag = frame.diagonal_sum()
-    if diag.is_zero():
-        return diag
-    if comp.is_zero():
+    if diag.is_zero() or comp.is_zero():
         return diag
     ring = frame.ring
-    k = ring.modulus
+    k, t = ring.modulus, ring.table
     srows = diag.rows
-    blocks = []
-    for crow in comp.rows:
-        lc = ring.left_mul_matrix(crow)
-        rc = ring.right_mul_matrix(crow)
-        # [s, c] = s*c - c*s = (R_c - L_c) s ; columns parametrised by srows
-        blocks.append(((rc - lc) % k) @ srows.T % k)
-    kern = zmod.kernel(np.vstack(blocks), k)
+    # row (c, l), column s: the l-th coefficient of [s, c] for Howell rows c, s
+    rows = np.einsum("si,ijl,cj->cls", srows, t - t.transpose(1, 0, 2), comp.rows) % k
+    kern = zmod.kernel(rows.reshape(-1, len(srows)), k)
     rows = (kern @ srows) % k if kern.size else kern.reshape(0, ring.dim)
     return Submodule(ring, zmod.howell(rows, k, width=ring.dim))
 

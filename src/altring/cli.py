@@ -16,7 +16,7 @@ import tempfile
 
 import click
 
-from . import analysis, fixtures, liemaps, ringio
+from . import __version__, analysis, fixtures, liemaps, ringio
 from .analysis import PeirceError, Verdict
 from .core import RingSpec
 from .liemaps import MapTable
@@ -133,7 +133,7 @@ class _Main(click.Group):
 
 
 @click.group(cls=_Main)
-@click.version_option(package_name="altring")
+@click.version_option(version=__version__)
 def main():
     """Exact analysis of finite nonassociative rings over Z/kZ."""
 
@@ -266,17 +266,21 @@ def verify_map(files, kind, fmt, assertions, output):
     except ValueError as exc:
         raise ToolError(str(exc)) from exc
 
-    if kind == "lie":
-        verdict = liemaps.is_lie_multiplicative(phi)
-        eligible = verdict.ok and phi.is_bijective()
-    else:
-        if not domain.compatible(codomain):
-            raise ToolError("derivable kinds need a self-map (domain == codomain)")
-        both = liemaps.derivable_report(phi)
-        verdict = both["lie_derivable"] if kind == "lie-derivable" else both["lie_triple_derivable"]
-        eligible = verdict.ok
-
-    defreport = liemaps.check_almost_additive(phi) if eligible else None
+    if kind != "lie" and not domain.compatible(codomain):
+        raise ToolError("derivable kinds need a self-map (domain == codomain)")
+    # the verifiers refuse rings too large for their index tables
+    try:
+        if kind == "lie":
+            verdict = liemaps.is_lie_multiplicative(phi)
+            eligible = verdict.ok and phi.is_bijective()
+        else:
+            both = liemaps.derivable_report(phi)
+            key = "lie_derivable" if kind == "lie-derivable" else "lie_triple_derivable"
+            verdict = both[key]
+            eligible = verdict.ok
+        defreport = liemaps.check_almost_additive(phi) if eligible else None
+    except ValueError as exc:
+        raise ToolError(str(exc)) from exc
 
     doc = {
         "map": {

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import analysis
+from . import analysis, zmod
 from .core import Element, RingSpec, Submodule
 from .analysis import Verdict
 
@@ -289,21 +289,30 @@ def central_shift(phi: MapTable, shift) -> MapTable:
         return zero if v is None else v
 
     cen = analysis.centre(cod)
-    offsets = np.zeros(dom.size, dtype=np.int64)
+    values = []
     for i in range(dom.size):
         s = lookup(dom.from_index(i))
         if not cod.compatible(s.ring):
-            raise ValueError("shift value outside the codomain")
-        if s not in cen:
-            raise ValueError(f"shift value {s.label()} is not central in the codomain")
-        offsets[i] = s.index
-    comm_values = np.unique(dom.commutator_index_table())
-    for cv in comm_values:
-        if offsets[int(cv)]:
-            raise ValueError(
-                f"shift must vanish on commutator values; "
-                f"{dom.from_index(int(cv)).label()} is one"
-            )
+            break
+        values.append(s)
+    # the least failing index decides the error, as in one pass over the domain
+    vecs = np.array([s.coeffs for s in values], dtype=np.int64).reshape(-1, cod.dim)
+    outside = np.flatnonzero(~zmod.member(cen.rows, vecs, cod.modulus))
+    if outside.size:
+        s = values[outside[0]]
+        raise ValueError(f"shift value {s.label()} is not central in the codomain")
+    if len(values) < dom.size:
+        raise ValueError("shift value outside the codomain")
+    offsets = vecs @ cod.index_weights
+    # a presence mask of the bracket table's values: unlike np.unique, no sort
+    is_bracket = np.zeros(dom.size, dtype=bool)
+    is_bracket[dom.commutator_index_table()] = True
+    shifted = np.flatnonzero(is_bracket & (offsets != 0))
+    if shifted.size:
+        raise ValueError(
+            f"shift must vanish on commutator values; "
+            f"{dom.from_index(int(shifted[0])).label()} is one"
+        )
     ac = cod.add_index_table()
     return MapTable(dom, cod, ac[phi.values, offsets])
 

@@ -71,6 +71,8 @@ def ring_from_doc(doc, where: str = "<ring>") -> RingSpec:
     modulus = doc["modulus"]
     basis = doc["basis"]
     table = doc["table"]
+    if not isinstance(name, str):
+        raise FormatError(f"name must be a string, got {json.dumps(name)}", where)
     if not isinstance(modulus, int) or modulus < 2:
         raise FormatError(f"modulus must be an integer >= 2, got {modulus!r}", where)
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):

@@ -5,15 +5,18 @@ shared code with the package's decision procedures, so that agreement is
 meaningful.  Only usable at desk scale.  The exceptions are
 ``reference_triple_derivable`` and ``reference_prime_by_ideals``, numpy
 scans kept to pin a witness order at sizes the dict oracles cannot reach,
-and ``reference_span_elements``, the former span enumeration kept to pin
-its order.
+``reference_span_elements``, the former span enumeration kept to pin its
+order, and the ``reference_peirce*`` procedures, the Peirce layer as the
+package computed it with scalar ``Element`` products.
 """
 
 import itertools
 
 import numpy as np
 
-from altring import zmod
+from altring import analysis, zmod
+from altring.analysis import PeirceError, PeirceFrame, Verdict
+from altring.core import Submodule
 
 
 class BruteRing:
@@ -346,3 +349,93 @@ def reference_span_elements(h, k, width):
             i -= 1
         if i < 0:
             return
+
+
+PEIRCE_KEYS = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+def reference_peirce_project(e1, a):
+    """The four Peirce projections of a at e1, by Element products."""
+    p11 = e1 * (a * e1)
+    p12 = e1 * a - p11
+    p21 = a * e1 - p11
+    p22 = a - e1 * a - a * e1 + p11
+    return {(1, 1): p11, (1, 2): p12, (2, 1): p21, (2, 2): p22}
+
+
+def reference_peirce(ring, e1):
+    """The Peirce frame at e1 by Element products, raising PeirceError in the
+    order the checks run: a different ring, zero, not an idempotent, the
+    unity (found by ``analysis.find_unity``), compatibility on basis
+    elements, components that fail to span the ring, overlapping
+    components."""
+    if not ring.compatible(e1.ring):
+        raise PeirceError("idempotent belongs to a different ring")
+    if e1.is_zero():
+        raise PeirceError("the zero element is not a usable idempotent")
+    if e1 * e1 != e1:
+        raise PeirceError(f"{e1.label()} is not an idempotent")
+    unity = analysis.find_unity(ring)
+    if unity is not None and e1 == unity:
+        raise PeirceError("the unity is a trivial idempotent")
+    for b in ring.basis_elements():
+        if (e1 * b) * e1 != e1 * (b * e1):
+            raise PeirceError(f"compatibility (e1*a)*e1 = e1*(a*e1) fails at a = {b.label()}")
+    parts = [reference_peirce_project(e1, b) for b in ring.basis_elements()]
+    subs = {key: Submodule.span(ring, [p[key] for p in parts]) for key in PEIRCE_KEYS}
+    total = subs[(1, 1)] + subs[(1, 2)] + subs[(2, 1)] + subs[(2, 2)]
+    if total != Submodule.full(ring):
+        raise PeirceError("Peirce components do not span the ring")
+    for a, b in itertools.combinations(PEIRCE_KEYS, 2):
+        if not (subs[a] & subs[b]).is_zero():
+            raise PeirceError(f"components R{a[0]}{a[1]} and R{b[0]}{b[1]} overlap")
+    return PeirceFrame(ring, e1, *(subs[key] for key in PEIRCE_KEYS))
+
+
+def reference_peirce_relations(frame):
+    """Rules (i)-(iii) on every pair (x, y) of Howell basis rows, component
+    pairs in the order R11, R12, R21, R22, then rule (iv) on the elements of
+    R12, then R21, in ascending index, all by Element products."""
+    for (i, j), (kk, l) in itertools.product(PEIRCE_KEYS, repeat=2):
+        if j == kk:
+            target, tag = frame.component(i, l), f"R{i}{j}*R{kk}{l}<=R{i}{l}"
+        elif (i, j) == (kk, l):
+            target, tag = frame.component(j, i), f"R{i}{j}*R{i}{j}<=R{j}{i}"
+        else:
+            target, tag = Submodule.zero(frame.ring), f"R{i}{j}*R{kk}{l}=0"
+        for x in frame.component(i, j).basis():
+            for y in frame.component(kk, l).basis():
+                if (x * y) not in target:
+                    return Verdict(False, (x, y), tag)
+    for i, j in [(1, 2), (2, 1)]:
+        for x in frame.component(i, j).elements_by_index():
+            if not (x * x).is_zero():
+                return Verdict(False, (x, x), f"square in R{i}{j}")
+    return Verdict(True)
+
+
+def reference_condition_subspace(frame, side):
+    """{s in R11 + R22 : [s, c] = 0 for every Howell row c of the component},
+    stacked one (R_c - L_c) block per row c."""
+    ring, k = frame.ring, frame.ring.modulus
+    comp = frame.r12 if side == "12" else frame.r21
+    diag = frame.diagonal_sum()
+    if diag.is_zero() or comp.is_zero():
+        return diag
+    blocks = [
+        (ring.right_mul_matrix(c) - ring.left_mul_matrix(c)) % k @ diag.rows.T % k
+        for c in comp.rows
+    ]
+    kern = zmod.kernel(np.vstack(blocks), k)
+    rows = kern @ diag.rows % k if kern.size else kern.reshape(0, ring.dim)
+    return Submodule(ring, zmod.howell(rows, k, width=ring.dim))
+
+
+def reference_condition(frame, side):
+    """The centralising condition on ``reference_condition_subspace``: the
+    witness is its least element, by index, outside the commutant."""
+    z = analysis.commutant(frame.ring)
+    for s in reference_condition_subspace(frame, side).elements_by_index():
+        if s not in z:
+            return Verdict(False, (s,), f"condition-{side}")
+    return Verdict(True, tag=f"condition-{side}")

@@ -11,9 +11,15 @@ from altring import analysis, canonicalize, fixtures
 from altring.analysis import PeirceError
 
 from helpers import (
+    PEIRCE_KEYS,
     BruteRing,
     brute_condition_scan,
+    reference_condition,
+    reference_condition_subspace,
     reference_identity_scans,
+    reference_peirce,
+    reference_peirce_project,
+    reference_peirce_relations,
     reference_primeness,
 )
 
@@ -346,6 +352,100 @@ class TestPeirce:
         e1 = ex2.parse_element("e")
         for a in ex2.elements():
             assert (e1 * a) * e1 == e1 * (a * e1)
+
+
+def _peirce_tables(count=360, seed=19661):
+    """Seeded rings with b0*b0 = b0, d in 2..5, k in {2, 3, 4, 6, 8, 9}.  A
+    third are dense, a third sparse, and in the last third b0 acts on each
+    other basis element as on an element of one Peirce component, so that
+    most of those frames exist and the multiplication rules get tested."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(count):
+        k, d = (2, 3, 4, 6, 8, 9)[n % 6], 2 + (n // 6) % 4
+        t = rng.integers(0, k, size=(d, d, d))
+        if n % 3:
+            t *= rng.random((d, d, d)) < 1 / 5
+        if n % 3 == 2:
+            t[0], t[:, 0] = 0, 0
+            for i, (left, right) in enumerate(rng.integers(0, 2, size=(d - 1, 2)), start=1):
+                t[0, i, i], t[i, 0, i] = left, right
+        t[0, 0] = np.eye(d, dtype=int)[0]
+        out.append(fixtures.RingSpec(f"peirce{n}", k, [f"b{i}" for i in range(d)], t))
+    return [(r, r.basis_element(0)) for r in out]
+
+
+def _peirce_cases():
+    """(ring, e1): the seeded tables, a non-idempotent and the unity of
+    matrix2_z2 (b0 is always a nonzero idempotent), and every
+    nontrivial idempotent of the catalog rings of at most 256 elements."""
+    m2 = fixtures.matrix2(2)
+    cases = _peirce_tables()
+    cases += [(m2, m2.parse_element(e)) for e in ("e12", "e11+e22")]
+    for name in sorted(fixtures.CATALOG):
+        for k in range(2, 10):
+            ring = fixtures.build(name, k)
+            if ring.size <= 256:
+                cases += [(ring, e) for e in analysis.nontrivial_idempotents(ring)]
+    return cases
+
+
+def _peirce_outcome(ring, e1, peirce, relations, condition, subspace):
+    """The PeirceError message, or the component rows, the three verdicts
+    as (ok, witness indices, tag) and both condition subspaces."""
+    try:
+        frame = peirce(ring, e1)
+    except PeirceError as exc:
+        return str(exc)
+    verdicts = [relations(frame), condition(frame, "12"), condition(frame, "21")]
+    return (
+        [frame.component(*key).rows.tolist() for key in PEIRCE_KEYS],
+        [(v.ok, v.witness_indices(), v.tag) for v in verdicts],
+        [subspace(frame, side).rows.tolist() for side in ("12", "21")],
+    )
+
+
+def _outcome_kind(outcome) -> str:
+    """The error kind, or which rule the relations verdict failed."""
+    if isinstance(outcome, str):
+        kinds = ("not an idempotent", "unity", "compatibility", "overlap", "zero element")
+        return next(kind for kind in kinds if kind in outcome)
+    ok, _, tag = outcome[1][0]
+    if ok:
+        return "ok"
+    if tag.startswith("square"):
+        return "(iv)"
+    if tag.endswith("=0"):
+        return "(iii)"
+    return "(i)" if tag[2] == tag[5] else "(ii)"
+
+
+class TestPeirceAgainstElementReference:
+    """The Peirce layer, read off L_e and R_e, against the Element-product
+    procedures it replaced (``helpers.reference_peirce*``)."""
+
+    def test_outcomes_match_reference(self):
+        kinds = set()
+        for ring, e1 in _peirce_cases():
+            got = _peirce_outcome(
+                ring, e1, analysis.peirce, analysis.check_peirce_relations,
+                analysis.check_condition, analysis.condition_subspace,
+            )
+            want = _peirce_outcome(
+                ring, e1, reference_peirce, reference_peirce_relations,
+                reference_condition, reference_condition_subspace,
+            )
+            assert got == want, (ring.name, e1.label())
+            kinds.add(_outcome_kind(got))
+        assert kinds >= {"not an idempotent", "unity", "compatibility", "overlap",
+                         "(i)", "(ii)", "(iii)", "ok"}
+
+    def test_project_matches_reference_on_every_element(self):
+        z = fixtures.zorn(2)
+        e1 = z.parse_element("e11")
+        frame = analysis.peirce(z, e1)
+        for a in z.elements():
+            assert frame.project(a) == reference_peirce_project(e1, a)
 
 
 class TestConditions:

@@ -1,11 +1,14 @@
 """Command-line interface: reports, formats, assertions, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import altring
 from altring import analysis, fixtures, liemaps, ringio
 from altring.cli import main
 from altring.liemaps import MapTable
@@ -108,6 +111,15 @@ class TestAnalyze:
         res = runner.invoke(main, ["analyze", str(path)])
         assert res.exit_code == 2, res.output
         assert f"modulus {k} with dimension {d}" in res.output
+
+    def test_non_string_ring_name_is_bad_input(self, runner, tmp_path):
+        doc = ringio.ring_to_doc(fixtures.triangular2(2))
+        doc["name"] = 5
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(doc))
+        res = runner.invoke(main, ["analyze", str(path)])
+        assert res.exit_code == 2, res.output
+        assert f"{path}: name must be a string, got 5" in res.output
 
     def test_internal_error_exits_3_with_one_line(self, runner, files, monkeypatch):
         def boom(*args, **kwargs):
@@ -276,6 +288,18 @@ class TestVerifyMap:
         assert json.loads(res.output)["verdict"]["ok"] is True
 
 
+    @pytest.mark.parametrize("kind", ["lie", "lie-derivable", "lie-triple"])
+    def test_ring_past_index_table_limit_is_refused(self, runner, tmp_path, kind):
+        m9 = fixtures.matrix2(9)
+        ring_path, map_path = tmp_path / "m9.json", tmp_path / "m9.map.json"
+        ring_path.write_text(ringio.dumps_ring(m9))
+        map_path.write_text(ringio.dumps_map(range(m9.size), m9, m9))
+        res = runner.invoke(main, ["verify-map", str(ring_path), str(map_path), "--kind", kind])
+        assert res.exit_code == 2, res.output
+        assert "ring has 6561 elements; index tables are limited to 4096" in res.output
+        assert "internal" not in res.output
+
+
 class TestSearchMaps:
     def test_complete_search(self, runner, files):
         res = runner.invoke(
@@ -353,3 +377,15 @@ class TestFixturesCommands:
         )
         assert res.exit_code == 0
         assert ringio.load_ring(out) == fixtures.zorn(3)
+
+
+class TestVersion:
+    def test_version_option(self, runner):
+        res = runner.invoke(main, ["--version"])
+        assert res.exit_code == 0, res.output
+        assert "0.1.0" in res.output
+
+    def test_version_matches_pyproject(self):
+        text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
+        assert altring.__version__ == declared

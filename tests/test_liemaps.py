@@ -273,6 +273,33 @@ class TestCentralShift:
                 MapTable.identity(m2), {m2.parse_element("e11"): m2.parse_element("e12")}
             )
 
+    def test_rejections_name_the_least_failing_element(self):
+        """Both errors name what a loop over the domain in index order meets
+        first: the first non-central value, then the least commutator value
+        with a nonzero shift."""
+        ring = fixtures.matrix2(3)
+        centre, unity = analysis.centre(ring), analysis.find_unity(ring)
+        brackets = np.unique(ring.commutator_index_table()).tolist()
+        is_bracket = set(brackets)
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            picks = rng.choice(ring.size, size=3).tolist() + rng.choice(brackets, size=3).tolist()
+            noncentral = {ring.from_index(i): ring.from_index(int(v))
+                          for i, v in zip(picks, rng.integers(1, ring.size, size=6))}
+            first = next(noncentral[x] for x in ring.elements()
+                         if noncentral.get(x, ring.zero()) not in centre)
+            with pytest.raises(ValueError) as exc:
+                liemaps.central_shift(MapTable.identity(ring), noncentral)
+            assert str(exc.value) == f"shift value {first.label()} is not central in the codomain"
+            central = {ring.from_index(i): unity for i in picks}
+            least = next(ring.from_index(i) for i in range(ring.size)
+                         if i in is_bracket and ring.from_index(i) in central)
+            with pytest.raises(ValueError) as exc:
+                liemaps.central_shift(MapTable.identity(ring), central)
+            assert str(exc.value) == (
+                f"shift must vanish on commutator values; {least.label()} is one"
+            )
+
     def test_shift_preserves_brackets(self, m2):
         unity = analysis.find_unity(m2)
         e11, e22 = m2.parse_element("e11"), m2.parse_element("e22")

@@ -66,6 +66,16 @@ class TestRingFormat:
         with pytest.raises(FormatError, match="distinct"):
             ringio.ring_from_doc(doc)
 
+    @pytest.mark.parametrize("name,shown", [(5, "5"), (None, "null"), (["a"], '["a"]')])
+    def test_name_must_be_a_string(self, tmp_path, name, shown):
+        doc = ringio.ring_to_doc(fixtures.triangular2(2))
+        doc["name"] = name
+        p = tmp_path / "named.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as exc:
+            ringio.load_ring(p)
+        assert str(exc.value) == f"{p}: name must be a string, got {shown}"
+
     def test_missing_key(self):
         with pytest.raises(FormatError, match="modulus"):
             ringio.ring_from_doc({"name": "x", "basis": ["a"], "table": []})
