@@ -263,14 +263,14 @@ def nontrivial_idempotents(ring: RingSpec) -> list[Element]:
     ]
 
 
-def _peirce_projections(ring: RingSpec, e1: Element) -> dict[tuple[int, int], np.ndarray]:
+def _peirce_projections(
+    lm: np.ndarray, rm: np.ndarray, k: int
+) -> dict[tuple[int, int], np.ndarray]:
     """The four Peirce projections at e1 as d x d matrices on coefficient
-    columns: with L = L_{e1} and R = R_{e1}, P11 = LR (a -> e1(ae1)),
+    columns, from L = L_{e1} and R = R_{e1}: P11 = LR (a -> e1(ae1)),
     P12 = L - P11, P21 = R - P11 and P22 = I - L - R + P11, all mod k."""
-    k = ring.modulus
-    lm, rm = ring.left_mul_matrix(e1), ring.right_mul_matrix(e1)
     p11 = lm @ rm % k
-    p22 = (np.eye(ring.dim, dtype=np.int64) - lm - rm + p11) % k
+    p22 = (np.eye(len(lm), dtype=np.int64) - lm - rm + p11) % k
     return {(1, 1): p11, (1, 2): (lm - p11) % k, (2, 1): (rm - p11) % k, (2, 2): p22}
 
 
@@ -292,7 +292,8 @@ class PeirceFrame:
         ]
 
     def project(self, a: Element) -> dict[tuple[int, int], Element]:
-        projections = _peirce_projections(self.ring, self.e1)
+        lm, rm = self.ring.left_mul_matrix(self.e1), self.ring.right_mul_matrix(self.e1)
+        projections = _peirce_projections(lm, rm, self.ring.modulus)
         return {key: self.ring.element(p @ a.vector()) for key, p in projections.items()}
 
     def diagonal_sum(self) -> Submodule:
@@ -326,7 +327,7 @@ def peirce(ring: RingSpec, e1: Element) -> PeirceFrame:
         )
 
     # Components are spanned by the basis projections (projections are linear).
-    projections = _peirce_projections(ring, e1)
+    projections = _peirce_projections(lm, rm, k)
     subs = {key: Submodule(ring, zmod.howell(p.T, k)) for key, p in projections.items()}
     keys = list(subs)
     for a in range(len(keys)):
