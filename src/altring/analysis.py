@@ -241,18 +241,50 @@ def _squares(ring: RingSpec, e: np.ndarray) -> np.ndarray:
     return np.einsum("ai,ijl,aj->al", e, ring.table, e, optimize=True) % ring.modulus
 
 
+# (u, v) pairs per block of the idempotent scan.
+_IDEMPOTENT_BLOCK = 1 << 20
+
+
+def _digit_rows(ring: RingSpec, lo: int, hi: int) -> np.ndarray:
+    """(k**(hi-lo), d) coefficient vectors, zero outside digits lo..hi-1, in
+    ascending index order."""
+    k = ring.modulus
+    out = np.zeros((k ** (hi - lo), ring.dim), dtype=np.int64)
+    idx = np.arange(len(out), dtype=np.int64)
+    for j in range(hi - 1, lo - 1, -1):
+        idx, out[:, j] = np.divmod(idx, k)
+    return out
+
+
 def idempotents(ring: RingSpec) -> list[Element]:
-    """All e with e*e = e, ascending by element index."""
-    n = ring.size
-    e = ring.elements_matrix()
-    w = ring.index_weights
-    out = []
-    step = max(1, (1 << 20) // max(1, ring.dim ** 2))
-    for lo in range(0, n, step):
-        sq = _squares(ring, e[lo : lo + step])
-        hits = np.nonzero(sq @ w == np.arange(lo, min(lo + step, n)))[0]
-        out.extend(int(lo + h) for h in hits)
-    return [ring.from_index(i) for i in out]
+    """All e with e*e = e, ascending by element index.
+
+    Each x splits as u + v, u on the high h digits and v on the low m = d//2,
+    so index(x) = index(u)*k**m + index(v) and
+    x*x - x = (u*u - u) + (v*v - v) + A_u v, with A_u = L_u + R_u on the low
+    basis columns (linear in u).  The squares and A_u are computed for the
+    k**h values of u and the k**m values of v only; a block of (u, v) pairs
+    is one matmul for coordinate 0, and the other coordinates are checked
+    only where it vanishes.  Every sum is at most 2(k-1) + m(k-1)**2.
+    """
+    d, k, t = ring.dim, ring.modulus, ring.table
+    m = d // 2
+    h = d - m
+    u, v = _digit_rows(ring, 0, h), _digit_rows(ring, h, d)
+    su, sv = (_squares(ring, u) - u) % k, (_squares(ring, v) - v) % k
+    a = np.einsum("ui,ijl->ulj", u[:, :h], (t + t.transpose(1, 0, 2))[:h, h:]) % k
+    low = v[:, h:]
+    hits = []
+    step = max(1, _IDEMPOTENT_BLOCK // len(v))
+    for lo in range(0, len(u), step):
+        c0 = (a[lo : lo + step, 0] @ low.T + su[lo : lo + step, :1] + sv[:, 0]) % k
+        iu, iv = np.divmod(np.flatnonzero(c0 == 0), len(v))
+        iu += lo
+        for l in range(1, d):
+            keep = (su[iu, l] + sv[iv, l] + (a[iu, l] * low[iv]).sum(axis=1)) % k == 0
+            iu, iv = iu[keep], iv[keep]
+        hits.append(u[iu] + v[iv])
+    return [Element(ring, tuple(c)) for c in np.concatenate(hits).tolist()]
 
 
 def nontrivial_idempotents(ring: RingSpec) -> list[Element]:

@@ -24,6 +24,12 @@ INDEX_TABLE_LIMIT = 4096
 _INT64_MAX = 2**63 - 1
 
 
+def _check_modulus(modulus) -> None:
+    """Refuse a modulus that is not an integer >= 2."""
+    if not isinstance(modulus, int) or modulus < 2:
+        raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
+
+
 class RingMismatchError(ValueError):
     """Raised when elements of different rings are combined."""
 
@@ -37,8 +43,7 @@ class RingSpec:
     """
 
     def __init__(self, name: str, modulus: int, basis_labels, table):
-        if not isinstance(modulus, int) or modulus < 2:
-            raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
+        _check_modulus(modulus)
         labels = tuple(str(s) for s in basis_labels)
         if not labels:
             raise ValueError("at least one basis label required")

@@ -13,7 +13,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import RingSpec
+from .core import RingSpec, _check_modulus
 
 
 def _table_from_products(labels, products, k):
@@ -179,7 +179,10 @@ class Fixture:
     expected: Mapping[str, bool] = field(default_factory=dict)
 
     def instance(self, k: int | None = None) -> RingSpec:
-        return self.build(k if k is not None else self.default_modulus)
+        k = k if k is not None else self.default_modulus
+        # before any table arithmetic: k = 0 would reach a NumPy division by zero
+        _check_modulus(k)
+        return self.build(k)
 
 
 CATALOG: dict[str, Fixture] = {

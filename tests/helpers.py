@@ -113,6 +113,10 @@ class BruteRing:
         nuc = set(self.nucleus_elements())
         return [u for u in self.commutant_elements() if u in nuc]
 
+    def idempotents(self):
+        """Indices of the x with x*x = x, ascending."""
+        return [self.index(x) for x in self.elements if self.mul(x, x) == x]
+
 
 def brute_condition_scan(ring, frame, side, commutant_elems):
     """All s in R11+R22 with [s, component] = 0, split by commutant

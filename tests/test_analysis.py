@@ -277,6 +277,61 @@ class TestUnityAndIdempotents:
         assert m2.zero() not in non
 
 
+def _idempotent_tables(seed=1111):
+    """(name, ring) for d 1..6 and k in {2, 3, 4, 6, 8, 9, 16, 256} with
+    k**d <= 4096, one dense and one sparse table each."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in (2, 3, 4, 6, 8, 9, 16, 256):
+        for d in range(1, 7):
+            if k**d > 4096:
+                continue
+            for sparse in (False, True):
+                table = rng.integers(0, k, size=(d, d, d))
+                if sparse:
+                    table *= rng.random((d, d, d)) < 1 / 6
+                name = f"{'sparse' if sparse else 'dense'}_d{d}_k{k}"
+                out.append(fixtures.RingSpec(name, k, [f"b{i}" for i in range(d)], table))
+    return out
+
+
+class TestIdempotentScan:
+    """analysis.idempotents against the pure-Python scan of BruteRing."""
+
+    @staticmethod
+    def _indices(ring):
+        return [e.index for e in analysis.idempotents(ring)]
+
+    def test_catalog_rings(self):
+        checked = 0
+        for name, fx in fixtures.CATALOG.items():
+            d = fx.instance().dim
+            for k in range(2, 11):
+                if k**d > 1024:
+                    break
+                ring = fx.instance(k)
+                assert self._indices(ring) == BruteRing(ring).idempotents(), (name, k)
+                checked += 1
+        assert checked >= 20
+
+    def test_seeded_tables_every_block_size(self, monkeypatch):
+        for ring in _idempotent_tables():
+            expected = BruteRing(ring).idempotents()
+            assert self._indices(ring) == expected, ring.name
+            for block in (1, 7):
+                with monkeypatch.context() as m:
+                    m.setattr(analysis, "_IDEMPOTENT_BLOCK", block)
+                    assert self._indices(ring) == expected, (ring.name, block)
+
+    def test_matrix2_pair_z6_count(self):
+        assert len(analysis.idempotents(fixtures.build("matrix2_pair", 6))) == 12544
+
+    def test_analyze_builds_no_element_matrix(self):
+        ring = fixtures.zorn(3)
+        analysis.analyze(ring, primeness=False)
+        assert "elements" not in ring._cache
+
+
 class TestPeirce:
     def test_example2_components(self, ex2):
         fr = analysis.peirce(ex2, ex2.parse_element("e"))

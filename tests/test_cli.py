@@ -370,6 +370,11 @@ class TestFixturesCommands:
         res = runner.invoke(main, ["fixtures", "export", "nope"])
         assert res.exit_code == 2
 
+    def test_export_zero_modulus(self, runner):
+        res = runner.invoke(main, ["fixtures", "export", "zorn", "--modulus", "0"])
+        assert res.exit_code == 2
+        assert res.output == "Error: modulus must be an integer >= 2, got 0\n"
+
     def test_exported_file_loads(self, runner, tmp_path):
         out = tmp_path / "z.json"
         res = runner.invoke(

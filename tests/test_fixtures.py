@@ -132,6 +132,12 @@ class TestCatalog:
         with pytest.raises(KeyError):
             fixtures.build("nope")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [0, 1, -3])
+    def test_build_refuses_small_modulus(self, k):
+        with pytest.raises(ValueError, match=rf"^modulus must be an integer >= 2, got {k}$"):
+            fixtures.build("zorn", k)
+
     def test_standard_instances_constructible(self):
         rings = fixtures.standard_instances()
         assert len(rings) >= 8
