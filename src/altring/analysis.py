@@ -9,7 +9,7 @@ on basis triples (trilinear laws) or at x = b_p and x = b_p + b_q, diagonal
 plus linearisation (laws quadratic in x); subspace conditions are decided by
 Howell-form linear algebra over Z/kZ.  Elementwise enumeration appears only
 where the property is genuinely nonlinear (squares of component elements,
-witnesses).
+witnesses, and one element per unit line in the primeness scans).
 
 Witness policy: scans run in ascending element-index order, so a reported
 witness is the first counterexample the documented scan meets and reports
@@ -242,7 +242,7 @@ def _squares(ring: RingSpec, e: np.ndarray) -> np.ndarray:
 
 
 # (u, v) pairs per block of the idempotent scan.
-_IDEMPOTENT_BLOCK = 1 << 20
+_IDEMPOTENT_BLOCK = 1 << 18
 
 
 def _digit_rows(ring: RingSpec, lo: int, hi: int) -> np.ndarray:
@@ -451,6 +451,24 @@ def ideal_generated(ring: RingSpec, a: Element) -> Submodule:
     return Submodule(ring, rows)
 
 
+def _least_annihilated(ring: RingSpec, partners, tag: str) -> Verdict:
+    """Verdict(False, (a, least nonzero of partners(a)), tag) at the least a
+    whose partners(a) is nonzero, None meaning a is already covered; else
+    Verdict(True).  Only a whose leading coefficient c divides k are visited:
+    otherwise u*c = gcd(c, k) < c for a unit u (zmod.unit_multiplier), and
+    u*a is smaller, with the same ideal and the same annihilators."""
+    k, lead = ring.modulus, 1  # lead: the place value of a's leading digit
+    for a in range(1, ring.size):
+        if a == lead * k:
+            lead = a
+        if k % (a // lead):
+            continue
+        ker = partners(a)
+        if ker is not None and not ker.is_zero():
+            return Verdict(False, (ring.from_index(a), _least_nonzero(ker)), tag)
+    return Verdict(True)
+
+
 def is_prime_by_ideals(ring: RingSpec) -> Verdict:
     """Primeness by the definition: no two nonzero ideals multiply to zero.
 
@@ -464,43 +482,38 @@ def is_prime_by_ideals(ring: RingSpec) -> Verdict:
     """
     d, mult = ring.dim, _multiplication_algebra(ring)
     seen: set[Submodule] = set()
-    for a in range(1, ring.size):
+    def partners(a: int) -> Submodule | None:
         ideal = ideal_generated(ring, ring.from_index(a))
         if ideal in seen:
-            continue
+            return None
         seen.add(ideal)
         # row (i, m, l), column j: coefficient l of i*(m b_j) for a Howell row i
         # of ideal(a); d**2 terms of at most (k-1)**3, the bound RingSpec accepts
         rows = np.einsum("ri,ipl,spj->rslj", ideal.rows, ring.table, mult).reshape(-1, d)
-        partners = Submodule(ring, zmod.kernel(rows, ring.modulus))
-        if not partners.is_zero():
-            return Verdict(False, (ring.from_index(a), _least_nonzero(partners)), "ideal-pair")
-    return Verdict(True)
+        return Submodule(ring, zmod.kernel(rows, ring.modulus))
+
+    return _least_annihilated(ring, partners, "ideal-pair")
 
 
 def prime_criterion(ring: RingSpec, variant: str = "left") -> Verdict:
     """The annihilator criterion: a R * b = 0 (variant "left") or
     a * R b = 0 (variant "right") forces a = 0 or b = 0.
 
-    For fixed a the condition on b is linear, so each a contributes one
-    kernel computation; witness is (a, least nonzero annihilating b).  The
-    system M(a) is linear in a: its row (j, l), column m is the l-th
-    coefficient of (a*b_j)*b_m (left) or a*(b_j*b_m) (right), read off one
-    product tensor.
+    For fixed a the annihilating b form the kernel of M(a), which is linear
+    in a: its row (j, l), column m is the l-th coefficient of (a*b_j)*b_m
+    (left) or a*(b_j*b_m) (right), read off one product tensor.  Witness:
+    (a, least nonzero annihilating b).
     """
     if variant not in ("left", "right"):
         raise ValueError("variant must be 'left' or 'right'")
     k, d = ring.modulus, ring.dim
     outer, inner = _product_tensors(ring)
     per_coeff = (outer if variant == "left" else inner).transpose(0, 1, 3, 2).reshape(d, -1)
-    e = ring.elements_matrix()
-    for ai in range(1, ring.size):
-        ker = Submodule(ring, zmod.kernel(((e[ai] @ per_coeff) % k).reshape(-1, d), k))
-        if not ker.is_zero():
-            return Verdict(
-                False, (ring.from_index(ai), _least_nonzero(ker)), f"criterion-{variant}"
-            )
-    return Verdict(True)
+    def annihilators(a: int) -> Submodule:
+        m = (ring.from_index(a).vector() @ per_coeff) % k
+        return Submodule(ring, zmod.kernel(m.reshape(-1, d), k))
+
+    return _least_annihilated(ring, annihilators, f"criterion-{variant}")
 
 
 @dataclass

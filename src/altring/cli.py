@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 
 import click
@@ -35,7 +36,7 @@ def _load_ring(path) -> RingSpec:
 
 def _emit(text: str, output: str | None) -> None:
     if output is None:
-        click.echo(text, nl=False)
+        click.echo(text, nl=False, file=sys.stdout)
         return
     directory = os.path.dirname(os.path.abspath(output)) or "."
     tmp = None
@@ -128,7 +129,7 @@ class _Main(click.Group):
             raise
         except Exception as exc:
             message = str(exc).replace("\n", " ")
-            click.echo(f"error: internal: {type(exc).__name__}: {message}", err=True)
+            click.echo(f"error: internal: {type(exc).__name__}: {message}", file=sys.stderr)
             ctx.exit(3)
 
 
@@ -392,7 +393,7 @@ def fixtures_group():
 @fixtures_group.command("list")
 def fixtures_list():
     for name, fx in sorted(fixtures.CATALOG.items()):
-        click.echo(f"{name:<14} {fx.description}")
+        click.echo(f"{name:<14} {fx.description}", file=sys.stdout)
 
 
 @fixtures_group.command("export")

@@ -127,15 +127,11 @@ def howell_transformed(rows, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return top[:, :n], top[:, n:], kern
 
 
-def left_kernel(rows, k: int) -> np.ndarray:
-    """Canonical basis of {x : x @ rows == 0 mod k}."""
-    return howell_transformed(rows, k)[2]
-
-
 def kernel(mat, k: int) -> np.ndarray:
-    """Canonical basis (as rows) of the right kernel {v : mat @ v == 0 mod k}."""
+    """Canonical basis (as rows) of the right kernel {v : mat @ v == 0 mod k}:
+    the left kernel of mat.T."""
     a = as_matrix(mat, k)
-    ker = left_kernel(a.T, k)
+    ker = howell_transformed(a.T, k)[2]
     if ker.size:
         assert not ((a @ ker.T) % k).any(), "kernel re-substitution failed"
     return ker

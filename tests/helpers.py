@@ -3,11 +3,12 @@
 Deliberately implemented with plain Python dicts and tuples, no numpy and no
 shared code with the package's decision procedures, so that agreement is
 meaningful.  Only usable at desk scale.  The exceptions are
-``reference_triple_derivable`` and ``reference_prime_by_ideals``, numpy
-scans kept to pin a witness order at sizes the dict oracles cannot reach,
-``reference_span_elements``, the former span enumeration kept to pin its
-order, and the ``reference_peirce*`` procedures, the Peirce layer as the
-package computed it with scalar ``Element`` products.
+``reference_triple_derivable``, ``reference_prime_by_ideals`` and
+``reference_prime_scans``, numpy scans kept to pin a witness order at sizes
+the dict oracles cannot reach, ``reference_span_elements``, the former span
+enumeration kept to pin its order, and the ``reference_peirce*``
+procedures, the Peirce layer as the package computed it with scalar
+``Element`` products.
 """
 
 import itertools
@@ -327,6 +328,47 @@ def reference_prime_by_ideals(ring):
             if not (prods % ring.modulus).any():
                 return False, [a, b], "ideal-pair"
     return True, None, ""
+
+
+def reference_prime_scans(ring):
+    """The three primeness procedures as the library ran them before it
+    visited one element per unit line: every nonzero a in ascending index,
+    one kernel each (the partners of each distinct ideal, or the annihilators
+    of a read off the n x d element matrix).  Keyed like
+    ``reference_primeness``, each as (ok, witness indices, tag).
+
+    Unlike the dict oracles it uses numpy and the package's Howell form.
+    """
+    k, d = ring.modulus, ring.dim
+
+    def by_ideals():
+        mult, seen = analysis._multiplication_algebra(ring), set()
+        for a in range(1, ring.size):
+            ideal = analysis.ideal_generated(ring, ring.from_index(a))
+            if ideal in seen:
+                continue
+            seen.add(ideal)
+            rows = np.einsum("ri,ipl,spj->rslj", ideal.rows, ring.table, mult)
+            ker = zmod.kernel(rows.reshape(-1, d), k)
+            if ker.size:
+                return False, [a, ring.element(ker[-1]).index], "ideal-pair"
+        return True, None, ""
+
+    def criterion(variant):
+        outer, inner = analysis._product_tensors(ring)
+        per_coeff = (outer if variant == "left" else inner).transpose(0, 1, 3, 2).reshape(d, -1)
+        e = ring.elements_matrix()
+        for a in range(1, ring.size):
+            ker = zmod.kernel(((e[a] @ per_coeff) % k).reshape(-1, d), k)
+            if ker.size:
+                return False, [a, ring.element(ker[-1]).index], f"criterion-{variant}"
+        return True, None, ""
+
+    return {
+        "by_ideals": by_ideals(),
+        "criterion_left": criterion("left"),
+        "criterion_right": criterion("right"),
+    }
 
 
 def reference_span_elements(h, k, width):

@@ -327,9 +327,9 @@ class TestIdempotentScan:
         assert len(analysis.idempotents(fixtures.build("matrix2_pair", 6))) == 12544
 
     def test_analyze_builds_no_element_matrix(self):
-        ring = fixtures.zorn(3)
-        analysis.analyze(ring, primeness=False)
-        assert "elements" not in ring._cache
+        for ring, primeness in ((fixtures.zorn(3), False), (fixtures.matrix2(7), True)):
+            analysis.analyze(ring, primeness=primeness)
+            assert "elements" not in ring._cache, (ring.name, primeness)
 
 
 class TestPeirce:

@@ -1,7 +1,11 @@
 """Command-line interface: reports, formats, assertions, exit codes."""
 
+import contextlib
+import gc
+import io
 import json
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -382,6 +386,21 @@ class TestFixturesCommands:
         )
         assert res.exit_code == 0
         assert ringio.load_ring(out) == fixtures.zorn(3)
+
+    def test_in_process_run_keeps_no_stdout(self):
+        """A redirected stdout is not kept alive after the run that printed
+        to it (click caches a wrapper per default stream, keyed weakly but
+        holding the stream in its value)."""
+        refs = []
+        for _ in range(3):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                main.main(["fixtures", "export", "zero3"], standalone_mode=False)
+            assert buf.getvalue().startswith("{")
+            refs.append(weakref.ref(buf))
+            del buf
+        gc.collect()
+        assert [r for r in refs if r() is not None] == []
 
 
 class TestVersion:

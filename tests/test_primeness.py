@@ -9,13 +9,27 @@ import pytest
 from altring import analysis, fixtures, zmod
 from altring.core import RingSpec
 
-from helpers import reference_ideal_closure, reference_prime_by_ideals, reference_primeness
+from helpers import (
+    reference_ideal_closure,
+    reference_prime_by_ideals,
+    reference_prime_scans,
+    reference_primeness,
+)
 from test_analysis import _random_tables
 
 
 def _verdict(ring):
     v = analysis.is_prime_by_ideals(ring)
     return v.ok, v.witness_indices(), v.tag
+
+
+def _all_verdicts(ring):
+    got = {
+        "by_ideals": analysis.is_prime_by_ideals(ring),
+        "criterion_left": analysis.prime_criterion(ring, "left"),
+        "criterion_right": analysis.prime_criterion(ring, "right"),
+    }
+    return {key: (v.ok, v.witness_indices(), v.tag) for key, v in got.items()}
 
 
 @pytest.mark.parametrize(
@@ -50,13 +64,33 @@ def test_closures_match_former_fixpoint(name, k):
 def test_composite_modulus_against_dict_oracle():
     """triangular2_z6 (216 elements): all three procedures, k = 2*3."""
     ring = fixtures.triangular2(6)
-    expected = reference_primeness(ring)
-    got = {
-        "by_ideals": analysis.is_prime_by_ideals(ring),
-        "criterion_left": analysis.prime_criterion(ring, "left"),
-        "criterion_right": analysis.prime_criterion(ring, "right"),
-    }
-    assert {key: (v.ok, v.witness_indices(), v.tag) for key, v in got.items()} == expected
+    assert _all_verdicts(ring) == reference_primeness(ring)
+
+
+def _unit_line_tables(seed=1212):
+    """Seeded rings with k in {4, 6, 8, 9, 12} and k**d <= 1296, two dense and
+    two sparse tables per (k, d): moduli whose units move the leading
+    coefficient of an element to a smaller divisor of k."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in (4, 6, 8, 9, 12):
+        for d in range(1, 6):
+            if k**d > 1296:
+                break
+            for n in range(4):
+                table = rng.integers(0, k, size=(d, d, d))
+                if n % 2:
+                    table *= rng.random((d, d, d)) < 1 / 8
+                out.append(RingSpec(f"t{n}_d{d}_k{k}", k, [f"b{i}" for i in range(d)], table))
+    return out
+
+
+def test_unit_line_scan_matches_every_element_scan():
+    """The scans visit only elements whose leading coefficient divides k;
+    (ok, witness, tag) of all three procedures must equal the scans over
+    every nonzero element."""
+    rings = _unit_line_tables() + [fixtures.matrix2(5), fixtures.matrix2(7)]
+    assert [r.name for r in rings if _all_verdicts(r) != reference_prime_scans(r)] == []
 
 
 class TestLargestModulus:
