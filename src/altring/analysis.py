@@ -245,17 +245,6 @@ def _squares(ring: RingSpec, e: np.ndarray) -> np.ndarray:
 _IDEMPOTENT_BLOCK = 1 << 18
 
 
-def _digit_rows(ring: RingSpec, lo: int, hi: int) -> np.ndarray:
-    """(k**(hi-lo), d) coefficient vectors, zero outside digits lo..hi-1, in
-    ascending index order."""
-    k = ring.modulus
-    out = np.zeros((k ** (hi - lo), ring.dim), dtype=np.int64)
-    idx = np.arange(len(out), dtype=np.int64)
-    for j in range(hi - 1, lo - 1, -1):
-        idx, out[:, j] = np.divmod(idx, k)
-    return out
-
-
 def idempotents(ring: RingSpec) -> list[Element]:
     """All e with e*e = e, ascending by element index.
 
@@ -270,7 +259,7 @@ def idempotents(ring: RingSpec) -> list[Element]:
     d, k, t = ring.dim, ring.modulus, ring.table
     m = d // 2
     h = d - m
-    u, v = _digit_rows(ring, 0, h), _digit_rows(ring, h, d)
+    u, v = ring._digit_rows(0, h), ring._digit_rows(h, d)
     su, sv = (_squares(ring, u) - u) % k, (_squares(ring, v) - v) % k
     a = np.einsum("ui,ijl->ulj", u[:, :h], (t + t.transpose(1, 0, 2))[:h, h:]) % k
     low = v[:, h:]

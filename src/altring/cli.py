@@ -75,6 +75,8 @@ def _parse_expected(raw: str):
 
 
 def _apply_assertions(doc: dict, assertions) -> None:
+    if not assertions:
+        return
     flat = _flatten_doc(doc)
     failures = []
     for item in assertions:
@@ -330,20 +332,16 @@ def verify_map(files, kind, fmt, assertions, output):
 
 @main.command("search-maps")
 @click.argument("ring_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--self", "self_search", is_flag=True,
-              help="Search the ring against itself (the default).")
 @click.option("--codomain", "codomain_file", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Second ring file; defaults to a self-search.")
 @click.option("--budget", type=int, default=None, help="Node budget for the backtracking search.")
 @format_option
 @assert_option
 @output_option
-def search_maps(ring_file, self_search, codomain_file, budget, fmt, assertions, output):
+def search_maps(ring_file, codomain_file, budget, fmt, assertions, output):
     """Enumerate Lie multiplicative bijections on a small ring."""
     if budget is not None and budget <= 0:
         raise ToolError("--budget must be positive")
-    if self_search and codomain_file:
-        raise ToolError("--self and --codomain are mutually exclusive")
     domain = _load_ring(ring_file)
     codomain = _load_ring(codomain_file) if codomain_file else domain
     try:

@@ -173,15 +173,21 @@ class RingSpec:
             self._cache["weights"] = w
         return w
 
+    def _digit_rows(self, lo: int, hi: int) -> np.ndarray:
+        """(k**(hi-lo), dim) coefficient vectors, zero outside digits
+        lo..hi-1, in ascending index order."""
+        k = self.modulus
+        out = np.zeros((k ** (hi - lo), self.dim), dtype=np.int64)
+        idx = np.arange(len(out), dtype=np.int64)
+        for j in range(hi - 1, lo - 1, -1):
+            idx, out[:, j] = np.divmod(idx, k)
+        return out
+
     def elements_matrix(self) -> np.ndarray:
         """(size, dim) array of all coefficient vectors in index order."""
         e = self._cache.get("elements")
         if e is None:
-            n, d, k = self.size, self.dim, self.modulus
-            idx = np.arange(n, dtype=np.int64)
-            e = np.empty((n, d), dtype=np.int64)
-            for j in range(d - 1, -1, -1):
-                idx, e[:, j] = np.divmod(idx, k)
+            e = self._digit_rows(0, self.dim)
             e.setflags(write=False)
             self._cache["elements"] = e
         return e

@@ -5,7 +5,8 @@ basis images: a Lie multiplicative map need not be additive, so its basis
 images do not determine it.  Verifiers run over all argument tuples using
 the rings' cached index tables; the bracket is bilinear even where D is not,
 so both derivability checks read one Leibniz table s[x, y] = [D(x), y] +
-[x, D(y)], and every failure is the lex-least (x, y) of a mismatch mask.
+[x, D(y)], and every failure is the lex-least (x, y) of a mismatch mask
+built one row block at a time, least rows first.
 The triple law reads (x, y) only through the pair ([x, y], s[x, y]), so it
 is checked once per distinct pair against every z, least z first.  The
 searcher enumerates value tables by backtracking with incremental
@@ -84,28 +85,43 @@ class MapTable:
         return f"MapTable({self.domain.name} -> {self.codomain.name})"
 
 
-def _first_pair(mask: np.ndarray, ring: RingSpec, third=None) -> tuple[Element, ...] | None:
-    """(x, y) for the lex-least pair with mask[x, y] set, then ``third(i, j)``
-    if given; None when the mask is all False."""
+def _row_blocks(n: int):
+    """Row slices of an (n, n) table in order, about 2**17 entries each
+    (blocks of 2**21 entries measured 1.8x slower at n = 4096)."""
+    step = max(1, (1 << 17) // n)
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def _first_set(mask: np.ndarray) -> tuple[int, int] | None:
+    """(i, j) of the first set entry of a 2-D mask in row-major order."""
     i, j = divmod(int(np.argmax(mask)), mask.shape[1])
-    if not mask[i, j]:
-        return None
-    pair = (ring.from_index(i), ring.from_index(j))
-    return pair if third is None else pair + (third(i, j),)
+    return (i, j) if mask[i, j] else None
 
 
-def _verdict(mask: np.ndarray, ring: RingSpec, tag: str) -> Verdict:
-    """Fails with witness ``_first_pair(mask, ring)`` if there is one."""
-    witness = _first_pair(mask, ring)
+def _first_pair(ring: RingSpec, mask_rows) -> tuple[Element, Element] | None:
+    """The lex-least (x, y) with ``mask_rows(rows)[x - rows.start, y]`` set,
+    calling ``mask_rows`` on row blocks in order up to the first that has
+    one; None when no block has one."""
+    for rows in _row_blocks(ring.size):
+        hit = _first_set(mask_rows(rows))
+        if hit is not None:
+            return ring.from_index(rows.start + hit[0]), ring.from_index(hit[1])
+    return None
+
+
+def _verdict(ring: RingSpec, mask_rows, tag: str) -> Verdict:
+    """Fails with witness ``_first_pair(ring, mask_rows)`` if there is one."""
+    witness = _first_pair(ring, mask_rows)
     return Verdict(True) if witness is None else Verdict(False, witness, tag)
 
 
 def is_lie_multiplicative(phi: MapTable) -> Verdict:
     """phi([x, y]) == [phi(x), phi(y)] over all ordered pairs."""
-    cc = phi.codomain.commutator_index_table()
+    cd, cc = phi.domain.commutator_index_table(), phi.codomain.commutator_index_table()
     v = phi.values
-    bad = v[phi.domain.commutator_index_table()] != cc[v[:, None], v[None, :]]
-    return _verdict(bad, phi.domain, "lie-multiplicative")
+    return _verdict(
+        phi.domain, lambda rows: v[cd[rows]] != cc[v[rows, None], v], "lie-multiplicative"
+    )
 
 
 def _leibniz_table(d: MapTable) -> np.ndarray:
@@ -114,20 +130,17 @@ def _leibniz_table(d: MapTable) -> np.ndarray:
         raise ValueError("derivability is defined for self-maps only")
     ring, v = d.domain, d.values
     c, a, neg = ring.commutator_index_table(), ring.add_index_table(), ring.neg_index_vector()
-    # [x, D(y)] = -[D(y), x], so both terms gather rows of c, never columns;
-    # row blocks of about 2**17 entries keep the gathers small (the unblocked
-    # column gather measured 2.5-4x slower at n = 4096)
+    # [x, D(y)] = -[D(y), x], so both terms gather rows of c, never columns
+    # (the unblocked column gather measured 2.5-4x slower at n = 4096)
     s = np.empty(c.shape, dtype=np.int64)
-    step = max(1, (1 << 17) // ring.size)
-    for lo in range(0, ring.size, step):
-        rows = slice(lo, lo + step)
+    for rows in _row_blocks(ring.size):
         s[rows] = a[c[v[rows]], neg[c[v, rows].T]]
     return s
 
 
 def _lie_derivable(d: MapTable, s: np.ndarray) -> Verdict:
-    bad = d.values[d.domain.commutator_index_table()] != s
-    return _verdict(bad, d.domain, "lie-derivable")
+    c, v = d.domain.commutator_index_table(), d.values
+    return _verdict(d.domain, lambda rows: v[c[rows]] != s[rows], "lie-derivable")
 
 
 def is_lie_derivable(d: MapTable) -> Verdict:
@@ -166,7 +179,7 @@ def _lie_triple_derivable(d: MapTable, s: np.ndarray) -> Verdict:
             hit = bad[:, col]
             bad_key = np.zeros((n, n), dtype=bool)
             bad_key[p[hit], q[hit]] = True
-            pair = _first_pair(bad_key[c, s], ring)
+            pair = _first_pair(ring, lambda rows: bad_key[c[rows], s[rows]])
             return Verdict(False, pair + (ring.from_index(lo + col),), "lie-triple-derivable")
     return Verdict(True)
 
@@ -204,11 +217,10 @@ def additivity_defect(phi: MapTable, a: Element, b: Element) -> Element:
 
 @dataclass
 class DefectReport:
-    """All pairwise additivity defects of a map, classified against the
-    centre of the codomain."""
+    """The additivity defects of a map, classified against the centre of the
+    codomain: flags and the lex-least witnesses, not a table."""
 
     phi: MapTable
-    defects: np.ndarray  # (n, n) codomain element indices
     centre: Submodule
     all_zero: bool
     all_central: bool
@@ -216,7 +228,7 @@ class DefectReport:
     sample_nonzero: tuple[Element, Element, Element] | None
 
     def defect(self, a: Element, b: Element) -> Element:
-        return self.phi.codomain.from_index(int(self.defects[a.index, b.index]))
+        return additivity_defect(self.phi, a, b)
 
 
 def check_almost_additive(phi: MapTable, centre: Submodule | None = None) -> DefectReport:
@@ -224,7 +236,9 @@ def check_almost_additive(phi: MapTable, centre: Submodule | None = None) -> Def
 
     ``centre`` defaults to the codomain's centre (nucleus intersected with
     the commutant); pass another submodule to grade against a different
-    reference.
+    reference.  One pass over row blocks finds the lex-least nonzero defect
+    and the lex-least non-central one, and stops at the latter: a
+    non-central defect is nonzero, so the sample never comes after it.
     """
     dom, cod = phi.domain, phi.codomain
     if centre is None:
@@ -235,29 +249,31 @@ def check_almost_additive(phi: MapTable, centre: Submodule | None = None) -> Def
     ac, neg = additive.add_index_table(), additive.neg_index_vector()
     v = phi.values
     negv = neg[v]
-    # phi(a+b) - phi(a) - phi(b), in row blocks of about 2**17 entries so the
-    # v[ad] and inner ac gathers are never n x n (blocks of 2**21 entries
-    # measured 1.8x slower at n = 4096)
-    defects = np.empty(ad.shape, dtype=np.int64)
-    step = max(1, (1 << 17) // dom.size)
-    for lo in range(0, dom.size, step):
-        rows = slice(lo, lo + step)
-        defects[rows] = ac[ac[v[ad[rows]], negv[rows, None]], negv[None, :]]
-    central_mask = np.zeros(cod.size, dtype=bool)
-    central_mask[centre.elements_matrix() @ cod.index_weights] = True
+    central = np.zeros(cod.size, dtype=bool)
+    central[centre.elements_matrix() @ cod.index_weights] = True
 
-    def defect_at(mask):
-        return _first_pair(mask, dom, lambda i, j: cod.from_index(int(defects[i, j])))
+    def at(mask):  # (a, b, defect) at the first set entry of this block's mask
+        hit = _first_set(mask)
+        if hit is None:
+            return None
+        i, j = hit
+        return dom.from_index(rows.start + i), dom.from_index(j), cod.from_index(int(defects[i, j]))
 
-    witness = defect_at(~central_mask[defects])
+    sample = witness = None
+    for rows in _row_blocks(dom.size):
+        defects = ac[ac[v[ad[rows]], negv[rows, None]], negv]  # phi(a+b) - phi(a) - phi(b)
+        if sample is None:
+            sample = at(defects != 0)
+        witness = at(~central[defects])
+        if witness is not None:
+            break
     return DefectReport(
         phi=phi,
-        defects=defects,
         centre=centre,
-        all_zero=not defects.any(),
+        all_zero=sample is None,
         all_central=witness is None,
         witness=witness,
-        sample_nonzero=defect_at(defects != 0),
+        sample_nonzero=sample,
     )
 
 
@@ -269,41 +285,30 @@ def inner_lie_derivation(ring: RingSpec, x: Element) -> MapTable:
     return MapTable(ring, ring, c[x.index, :].copy())
 
 
-def central_shift(phi: MapTable, shift) -> MapTable:
-    """phi plus a central offset: x -> phi(x) + s(x).
+def central_shift(phi: MapTable, shift: dict) -> MapTable:
+    """phi plus a central offset: x -> phi(x) + shift[x].
 
-    ``shift`` maps domain elements to codomain elements (dict or callable;
-    missing/None means zero).  Every shift value must lie in the centre of
-    the codomain, and the shift must vanish on every commutator value of
-    the domain: brackets kill central offsets, so these two requirements
-    are exactly what keeps the result Lie multiplicative whenever phi is.
+    ``shift`` maps domain elements to codomain elements (missing or None
+    means zero).  Every shift value must lie in the centre of the codomain,
+    and the shift must vanish on every commutator value of the domain:
+    brackets kill central offsets, so these two requirements are exactly
+    what keeps the result Lie multiplicative whenever phi is.  Each error
+    names the least failing argument.
     """
     dom, cod = phi.domain, phi.codomain
-    zero = cod.zero()
-
-    def lookup(x: Element) -> Element:
-        if callable(shift):
-            v = shift(x)
-        else:
-            v = shift.get(x)
-        return zero if v is None else v
-
-    cen = analysis.centre(cod)
-    values = []
-    for i in range(dom.size):
-        s = lookup(dom.from_index(i))
-        if not cod.compatible(s.ring):
-            break
-        values.append(s)
-    # the least failing index decides the error, as in one pass over the domain
-    vecs = np.array([s.coeffs for s in values], dtype=np.int64).reshape(-1, cod.dim)
-    outside = np.flatnonzero(~zmod.member(cen.rows, vecs, cod.modulus))
+    entries = sorted(
+        (x.index, s) for x, s in shift.items() if s is not None and dom.compatible(x.ring)
+    )
+    values = [s for _, s in entries]
+    inside = next((m for m, s in enumerate(values) if not cod.compatible(s.ring)), len(values))
+    vecs = np.array([s.coeffs for s in values[:inside]], dtype=np.int64).reshape(-1, cod.dim)
+    outside = np.flatnonzero(~zmod.member(analysis.centre(cod).rows, vecs, cod.modulus))
     if outside.size:
-        s = values[outside[0]]
-        raise ValueError(f"shift value {s.label()} is not central in the codomain")
-    if len(values) < dom.size:
+        raise ValueError(f"shift value {values[outside[0]].label()} is not central in the codomain")
+    if inside < len(values):
         raise ValueError("shift value outside the codomain")
-    offsets = vecs @ cod.index_weights
+    offsets = np.zeros(dom.size, dtype=np.int64)
+    offsets[np.array([i for i, _ in entries], dtype=np.int64)] = vecs @ cod.index_weights
     # a presence mask of the bracket table's values: unlike np.unique, no sort
     is_bracket = np.zeros(dom.size, dtype=bool)
     is_bracket[dom.commutator_index_table()] = True

@@ -341,15 +341,8 @@ class TestSearchMaps:
         assert res.exit_code == 2
 
     def test_self_flag(self, runner, files):
-        res = runner.invoke(
-            main, ["search-maps", files["triangular2"], "--self", "--assert", "count=8"]
-        )
+        res = runner.invoke(main, ["search-maps", files["triangular2"], "--assert", "count=8"])
         assert res.exit_code == 0, res.output
-        clash = runner.invoke(
-            main,
-            ["search-maps", files["triangular2"], "--self", "--codomain", files["triangular2"]],
-        )
-        assert clash.exit_code == 2
 
 
 class TestFixturesCommands:

@@ -1,6 +1,7 @@
 """Map predicates, additivity defects, central shifts, the bijection search."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,49 @@ def neg_transpose(ring):
     return MapTable.from_callable(ring, ring, f)
 
 
+def noncentral_swap(m2):
+    """Transposes e11 <-> e11+e12 (both non-commutator values): a bijection
+    whose defect at (e11, e22) is e12, not central."""
+    vals = np.arange(m2.size)
+    i = m2.parse_element("e11").index
+    j = m2.parse_element("e11+e12").index
+    vals[i], vals[j] = vals[j], vals[i]
+    return MapTable(m2, m2, vals)
+
+
+def central_swap(m2):
+    unity = analysis.find_unity(m2)
+    e11, e22 = m2.parse_element("e11"), m2.parse_element("e22")
+    return liemaps.central_shift(MapTable.identity(m2), {e11: unity, e22: unity})
+
+
+def random_map(codomain, seed):
+    t2, cod = fixtures.triangular2(2), fixtures.build(*codomain)
+    return MapTable(t2, cod, np.random.default_rng(seed).integers(0, cod.size, t2.size))
+
+
+def past_first_block():
+    """x -> x0*e12 + x8*1 from the 512 elements of zero9_z2 into matrix2_z4:
+    its defects are 2 (central) at a8 = b8 = 1 and 2*e12 at a0 = b0 = 1, so
+    the first nonzero defect is at (1, 1) and the first non-central one at
+    (256, 256), past the first row block."""
+    dom, cod = fixtures.zero_ring(9, 2), fixtures.matrix2(4)
+    e12, unity = cod.parse_element("e12"), analysis.find_unity(cod)
+    vals = [((i >> 8) * e12 + (i & 1) * unity).index for i in range(dom.size)]
+    return MapTable(dom, cod, vals)
+
+
+DEFECT_CASES = {
+    "identity": lambda: MapTable.identity(fixtures.matrix2(2)),
+    "central_swap": lambda: central_swap(fixtures.matrix2(2)),
+    "noncentral_swap": lambda: noncentral_swap(fixtures.matrix2(2)),
+    "to_zero3": lambda: random_map(("zero3", 2), 5),
+    "to_matrix2_z2": lambda: random_map(("matrix2", 2), 6),
+    "to_triangular2_z3": lambda: random_map(("triangular2", 3), 6),
+    "past_first_block": past_first_block,
+}
+
+
 def conjugation(ring, g):
     """x -> g x g^-1 for an invertible 2x2 matrix g over Z2."""
     inv = {}
@@ -53,6 +97,16 @@ def invertibles(ring):
 class TestLieMultiplicative:
     def test_identity_map(self, m2):
         assert liemaps.is_lie_multiplicative(MapTable.identity(m2)).ok
+
+    def test_witness_past_the_first_row_block(self):
+        """zero9_z2 has 512 elements, so a row block holds 256 rows.  Its
+        brackets vanish, and phi sends 256 and 257 to e12 and e21 and every
+        other element to 0, so the lex-least failing pair is (256, 257)."""
+        dom, cod = fixtures.zero_ring(9, 2), fixtures.matrix2(2)
+        vals = np.zeros(dom.size, dtype=np.int64)
+        vals[256], vals[257] = cod.parse_element("e12").index, cod.parse_element("e21").index
+        verdict = liemaps.is_lie_multiplicative(MapTable(dom, cod, vals))
+        assert verdict.witness_indices() == [256, 257]
 
     def test_neg_transpose(self, m2):
         phi = neg_transpose(m2)
@@ -212,23 +266,8 @@ class TestDefects:
         assert rep.defect(e11, m2.parse_element("e12")) == unity
         assert unity in rep.centre
 
-    def test_defect_recompute_invariant(self, m2):
-        unity = analysis.find_unity(m2)
-        e11, e22 = m2.parse_element("e11"), m2.parse_element("e22")
-        swap = liemaps.central_shift(MapTable.identity(m2), {e11: unity, e22: unity})
-        rep = liemaps.check_almost_additive(swap)
-        for a in m2.elements():
-            for b in m2.elements():
-                assert rep.defect(a, b) == liemaps.additivity_defect(swap, a, b)
-
     def test_noncentral_defect_detected(self, m2):
-        # transposing e11 <-> e11+e12 (both non-commutator values) keeps a
-        # bijection but its defect at (e11, e22) is e12, not central
-        vals = np.arange(m2.size)
-        i = m2.parse_element("e11").index
-        j = m2.parse_element("e11+e12").index
-        vals[i], vals[j] = vals[j], vals[i]
-        phi = MapTable(m2, m2, vals)
+        phi = noncentral_swap(m2)
         rep = liemaps.check_almost_additive(phi)
         assert not rep.all_central
         assert rep.defect(m2.parse_element("e11"), m2.parse_element("e22")) == m2.parse_element("e12")
@@ -239,22 +278,52 @@ class TestDefects:
     def test_same_shape_codomain_builds_no_sum_table(self, t2):
         cod = fixtures.build("zero3", 2)
         phi = MapTable(t2, cod, np.random.default_rng(5).integers(0, cod.size, t2.size))
-        rep = liemaps.check_almost_additive(phi)
+        liemaps.check_almost_additive(phi)
         assert "add_idx" not in cod._cache and "neg_idx" not in cod._cache
-        for a in t2.elements():
-            for b in t2.elements():
-                assert rep.defect(a, b) == liemaps.additivity_defect(phi, a, b)
 
-    @pytest.mark.parametrize(
-        "codomain", [("matrix2", 2), ("triangular2", 3)], ids=["matrix2_z2", "triangular2_z3"]
-    )
-    def test_other_shape_codomain_defects_match(self, t2, codomain):
-        cod = fixtures.build(*codomain)
-        phi = MapTable(t2, cod, np.random.default_rng(6).integers(0, cod.size, t2.size))
+    @pytest.mark.parametrize("case", sorted(DEFECT_CASES))
+    def test_report_matches_lex_order_scan(self, case):
+        """The flags and both witnesses equal those of a scan of all pairs in
+        lex order with additivity_defect, stopped at the first non-central
+        defect."""
+        phi = DEFECT_CASES[case]()
         rep = liemaps.check_almost_additive(phi)
-        for a in t2.elements():
-            for b in t2.elements():
-                assert rep.defect(a, b) == liemaps.additivity_defect(phi, a, b)
+        central = {tuple(c) for c in rep.centre.elements_matrix().tolist()}
+        elements = list(phi.domain.elements())
+        sample = witness = None
+        for a, b in itertools.product(elements, repeat=2):
+            d = liemaps.additivity_defect(phi, a, b)
+            if sample is None and not d.is_zero():
+                sample = (a, b, d)
+            if d.coeffs not in central:
+                witness = (a, b, d)
+                break
+        assert rep.all_zero == (sample is None)
+        assert rep.all_central == (witness is None)
+        assert rep.witness == witness
+        assert rep.sample_nonzero == sample
+        if case == "past_first_block":
+            # rows of 512 entries, so the first block holds 256 of them
+            assert (sample[0].index, witness[0].index) == (1, 256)
+
+
+def test_pairwise_scans_keep_no_table_sized_temporaries():
+    """With the index tables built, the Lie multiplicative check and the
+    defect report work in row blocks: neither peaks at a quarter of one
+    (n, n) int64 table."""
+    ring = fixtures.matrix2(7)
+    phi = MapTable.identity(ring)
+    # the tables are cached on the ring: build them before tracing
+    ring.commutator_index_table(), ring.add_index_table(), ring.neg_index_vector()
+    bound = ring.size**2 * 8 // 4
+    for check in (liemaps.is_lie_multiplicative, liemaps.check_almost_additive):
+        tracemalloc.start()
+        try:
+            check(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (check.__name__, peak)
 
 
 class TestCentralShift:
