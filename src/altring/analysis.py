@@ -329,7 +329,7 @@ def peirce(ring: RingSpec, e1: Element) -> PeirceFrame:
     would be ambiguous), or if two components overlap.  The components
     always span the ring: the four projections sum to the identity.
     """
-    if not ring.compatible(e1.ring):
+    if ring != e1.ring:
         raise PeirceError("idempotent belongs to a different ring")
     if e1.is_zero():
         raise PeirceError("the zero element is not a usable idempotent")
@@ -402,17 +402,10 @@ def condition_subspace(frame: PeirceFrame, side: str) -> Submodule:
     if side not in ("12", "21"):
         raise ValueError("side must be '12' or '21'")
     comp = frame.r12 if side == "12" else frame.r21
-    diag = frame.diagonal_sum()
-    if diag.is_zero() or comp.is_zero():
-        return diag
-    ring = frame.ring
-    k, t = ring.modulus, ring.table
-    srows = diag.rows
-    # row (c, l), column s: the l-th coefficient of [s, c] for Howell rows c, s
-    rows = np.einsum("si,ijl,cj->cls", srows, t - t.transpose(1, 0, 2), comp.rows) % k
-    kern = zmod.kernel(rows.reshape(-1, len(srows)), k)
-    rows = (kern @ srows) % k if kern.size else kern.reshape(0, ring.dim)
-    return Submodule(ring, zmod.howell(rows, k, width=ring.dim))
+    ring, t = frame.ring, frame.ring.table
+    # row (c, l), column i: the l-th coefficient of [b_i, c] for Howell rows c
+    rows = np.einsum("ijl,cj->cli", t - t.transpose(1, 0, 2), comp.rows).reshape(-1, ring.dim)
+    return frame.diagonal_sum() & Submodule(ring, zmod.kernel(rows, ring.modulus))
 
 
 def check_condition(frame: PeirceFrame, side: str) -> Verdict:

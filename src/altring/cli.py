@@ -269,7 +269,7 @@ def verify_map(files, kind, fmt, assertions, output):
     except ValueError as exc:
         raise ToolError(str(exc)) from exc
 
-    if kind != "lie" and not domain.compatible(codomain):
+    if kind != "lie" and domain != codomain:
         raise ToolError("derivable kinds need a self-map (domain == codomain)")
     # the verifiers refuse rings too large for their index tables
     try:

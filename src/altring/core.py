@@ -99,9 +99,6 @@ class RingSpec:
     def size(self) -> int:
         return self.modulus ** self.dim
 
-    def compatible(self, other: "RingSpec") -> bool:
-        return self is other or self == other
-
     # -- elements ---------------------------------------------------------
 
     def element(self, coeffs) -> "Element":
@@ -310,7 +307,7 @@ class Element:
     def _peer(self, other) -> "Element":
         if not isinstance(other, Element):
             raise TypeError(f"expected Element, got {type(other).__name__}")
-        if not self.ring.compatible(other.ring):
+        if self.ring != other.ring:
             raise RingMismatchError(
                 f"elements of {self.ring.name!r} and {other.ring.name!r} cannot be combined"
             )
@@ -347,7 +344,7 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return self.ring.compatible(other.ring) and self.coeffs == other.coeffs
+        return self.ring == other.ring and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.ring._hash, self.coeffs))
@@ -422,13 +419,13 @@ class Submodule:
         return other.contains_submodule(self)
 
     def __add__(self, other: "Submodule") -> "Submodule":
-        if not self.ring.compatible(other.ring):
+        if self.ring != other.ring:
             raise RingMismatchError("submodules of different rings")
-        merged = np.vstack([self.rows, other.rows]) if self.rows.size or other.rows.size else self.rows
+        merged = np.vstack([self.rows, other.rows])
         return Submodule(self.ring, zmod.howell(merged, self.ring.modulus, width=self.ring.dim))
 
     def __and__(self, other: "Submodule") -> "Submodule":
-        if not self.ring.compatible(other.ring):
+        if self.ring != other.ring:
             raise RingMismatchError("submodules of different rings")
         return Submodule(
             self.ring, zmod.intersect(self.rows, other.rows, self.ring.modulus, self.ring.dim)
@@ -437,7 +434,7 @@ class Submodule:
     def __eq__(self, other):
         if not isinstance(other, Submodule):
             return NotImplemented
-        return self.ring.compatible(other.ring) and np.array_equal(self.rows, other.rows)
+        return self.ring == other.ring and np.array_equal(self.rows, other.rows)
 
     def __hash__(self):
         return hash((self.ring._hash, self.rows.tobytes()))

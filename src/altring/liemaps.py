@@ -53,7 +53,7 @@ class MapTable:
         return cls(domain, codomain, vals)
 
     def __call__(self, x: Element) -> Element:
-        if not self.domain.compatible(x.ring):
+        if self.domain != x.ring:
             raise ValueError("element outside the map's domain")
         return self.codomain.from_index(int(self.values[x.index]))
 
@@ -65,7 +65,7 @@ class MapTable:
 
     def compose(self, inner: "MapTable") -> "MapTable":
         """self after inner: x -> self(inner(x))."""
-        if not inner.codomain.compatible(self.domain):
+        if inner.codomain != self.domain:
             raise ValueError("composition domain mismatch")
         return MapTable(inner.domain, self.codomain, self.values[inner.values])
 
@@ -73,8 +73,8 @@ class MapTable:
         if not isinstance(other, MapTable):
             return NotImplemented
         return (
-            self.domain.compatible(other.domain)
-            and self.codomain.compatible(other.codomain)
+            self.domain == other.domain
+            and self.codomain == other.codomain
             and np.array_equal(self.values, other.values)
         )
 
@@ -126,7 +126,7 @@ def is_lie_multiplicative(phi: MapTable) -> Verdict:
 
 def _leibniz_table(d: MapTable) -> np.ndarray:
     """s[x, y] = [D(x), y] + [x, D(y)] as element indices (self-maps only)."""
-    if not d.domain.compatible(d.codomain):
+    if d.domain != d.codomain:
         raise ValueError("derivability is defined for self-maps only")
     ring, v = d.domain, d.values
     c, a, neg = ring.commutator_index_table(), ring.add_index_table(), ring.neg_index_vector()
@@ -279,7 +279,7 @@ def check_almost_additive(phi: MapTable, centre: Submodule | None = None) -> Def
 
 def inner_lie_derivation(ring: RingSpec, x: Element) -> MapTable:
     """The map y -> [x, y]."""
-    if not ring.compatible(x.ring):
+    if ring != x.ring:
         raise ValueError("element outside the ring")
     c = ring.commutator_index_table()
     return MapTable(ring, ring, c[x.index, :].copy())
@@ -289,18 +289,22 @@ def central_shift(phi: MapTable, shift: dict) -> MapTable:
     """phi plus a central offset: x -> phi(x) + shift[x].
 
     ``shift`` maps domain elements to codomain elements (missing or None
-    means zero).  Every shift value must lie in the centre of the codomain,
+    means zero); a key from another ring is refused before any value is
+    looked at.  Every shift value must lie in the centre of the codomain,
     and the shift must vanish on every commutator value of the domain:
     brackets kill central offsets, so these two requirements are exactly
     what keeps the result Lie multiplicative whenever phi is.  Each error
     names the least failing argument.
     """
     dom, cod = phi.domain, phi.codomain
-    entries = sorted(
-        (x.index, s) for x, s in shift.items() if s is not None and dom.compatible(x.ring)
-    )
+    foreign = min((x for x in shift if x.ring != dom), key=lambda x: x.index, default=None)
+    if foreign is not None:
+        raise ValueError(
+            f"shift key {foreign.label()} of {foreign.ring.name!r} is not in the domain {dom.name!r}"
+        )
+    entries = sorted((x.index, s) for x, s in shift.items() if s is not None)
     values = [s for _, s in entries]
-    inside = next((m for m, s in enumerate(values) if not cod.compatible(s.ring)), len(values))
+    inside = next((m for m, s in enumerate(values) if s.ring != cod), len(values))
     vecs = np.array([s.coeffs for s in values[:inside]], dtype=np.int64).reshape(-1, cod.dim)
     outside = np.flatnonzero(~zmod.member(analysis.centre(cod).rows, vecs, cod.modulus))
     if outside.size:

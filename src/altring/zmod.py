@@ -61,8 +61,8 @@ def _howell_inplace(work: list[np.ndarray], k: int, npivot: int) -> int:
     """Reduce ``work`` so its first r rows are the Howell echelon over the
     first ``npivot`` columns and every later row is zero there.
 
-    Columns beyond ``npivot`` ride along unreduced, which is what the
-    kernel and transform helpers rely on.  Returns r.
+    Columns beyond ``npivot`` ride along unreduced, which is what
+    ``_zero_row_tails`` relies on.  Returns r.
     """
     r = 0
     for c in range(npivot):
@@ -113,25 +113,21 @@ def howell(rows, k: int, width: int | None = None) -> np.ndarray:
     return np.vstack(work[:r])
 
 
-def howell_transformed(rows, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (H, U, K): H = howell(A), U with H == U @ A mod k, and K a
-    canonical basis of the left kernel {x : x @ A == 0 mod k}."""
-    a = as_matrix(rows, k)
-    m, n = a.shape
-    aug = np.hstack([a, np.eye(m, dtype=np.int64)])
-    work = [row.copy() for row in aug]
-    r = _howell_inplace(work, k, n)
-    top = np.vstack(work[:r]) if r else np.zeros((0, n + m), dtype=np.int64)
-    rest = np.vstack(work[r:]) if len(work) > r else np.zeros((0, n + m), dtype=np.int64)
-    kern = howell(rest[:, n:], k, width=m)
-    return top[:, :n], top[:, n:], kern
+def _zero_row_tails(rows: np.ndarray, k: int, npivot: int) -> np.ndarray:
+    """Howell form of the span's elements that vanish on the first ``npivot``
+    columns, read at the remaining columns: the tails of the rows that
+    ``_howell_inplace`` reduces to zero there.  ``rows`` is reduced mod k."""
+    work = [row.copy() for row in rows]
+    r = _howell_inplace(work, k, npivot)
+    return howell([row[npivot:] for row in work[r:]], k, width=rows.shape[1] - npivot)
 
 
 def kernel(mat, k: int) -> np.ndarray:
     """Canonical basis (as rows) of the right kernel {v : mat @ v == 0 mod k}:
-    the left kernel of mat.T."""
+    the tails of the zero rows of [mat.T | I]."""
     a = as_matrix(mat, k)
-    ker = howell_transformed(a.T, k)[2]
+    m, n = a.shape
+    ker = _zero_row_tails(np.hstack([a.T, np.eye(n, dtype=np.int64)]), k, m)
     if ker.size:
         assert not ((a @ ker.T) % k).any(), "kernel re-substitution failed"
     return ker
@@ -167,31 +163,20 @@ def member(h: np.ndarray, v, k: int) -> np.bool_ | np.ndarray:
 def solve(mat, target, k: int) -> np.ndarray | None:
     """A particular solution x of mat @ x == target mod k, or None.
 
-    With H == U @ mat.T, reducing (target, 0) against the rows (H, U)
-    subtracts sum q_i (H_i, U_i) and leaves (residual, -x)."""
-    a = as_matrix(mat, k)
-    t = np.array(target, dtype=np.int64) % k
-    h, u, _ = howell_transformed(a.T, k)
-    padded = np.concatenate([t, np.zeros(a.shape[1], dtype=np.int64)])
-    res = reduce_mod_span(np.hstack([h, u]), padded, k)
-    if res[: len(t)].any():
-        return None
-    x = -res[len(t) :] % k
-    assert not ((a @ x - t) % k).any()
-    return x
+    (c, x) is in the kernel of [-target | mat] exactly when mat @ x == c*target.
+    The c that occur are the multiples of the first Howell row's pivot, so a
+    solution exists iff that row is (1, x)."""
+    ker = kernel(np.column_stack([-np.asarray(target, dtype=np.int64), mat]), k)
+    return ker[0, 1:] if len(ker) and ker[0, 0] == 1 else None
 
 
 def intersect(rows_a, rows_b, k: int, width: int) -> np.ndarray:
-    """Canonical basis of the intersection of two row spans (Zassenhaus)."""
+    """Canonical basis of the intersection of two row spans (Zassenhaus): the
+    tails of the zero rows of [a | a; b | 0]."""
     a = as_matrix(rows_a, k, width)
     b = as_matrix(rows_b, k, width)
-    if not a.size or not b.size:
-        return np.zeros((0, width), dtype=np.int64)
     stacked = np.vstack([np.hstack([a, a]), np.hstack([b, np.zeros_like(b)])])
-    work = [row.copy() for row in stacked]
-    r = _howell_inplace(work, k, width)
-    tail = [row[width:] for row in work[r:]]
-    return howell(tail, k, width=width)
+    return _zero_row_tails(stacked, k, width)
 
 
 def span_count(h: np.ndarray, k: int) -> int:

@@ -415,7 +415,7 @@ def reference_peirce(ring, e1):
     unity (found by ``analysis.find_unity``), compatibility on basis
     elements, components that fail to span the ring, overlapping
     components."""
-    if not ring.compatible(e1.ring):
+    if ring != e1.ring:
         raise PeirceError("idempotent belongs to a different ring")
     if e1.is_zero():
         raise PeirceError("the zero element is not a usable idempotent")

@@ -336,6 +336,15 @@ class TestCentralShift:
         with pytest.raises(ValueError, match="commutator"):
             liemaps.central_shift(MapTable.identity(m2), {m2.parse_element("e12"): unity})
 
+    def test_shift_key_outside_the_domain_rejected(self, m2):
+        """A key from another ring is refused by name, before the values are
+        checked, whether they are central or not."""
+        e11 = fixtures.zorn(2).parse_element("e11")
+        for value in (analysis.find_unity(m2), m2.parse_element("e12")):
+            with pytest.raises(ValueError) as exc:
+                liemaps.central_shift(MapTable.identity(m2), {e11: value})
+            assert str(exc.value) == "shift key e11 of 'zorn_z2' is not in the domain 'matrix2_z2'"
+
     def test_noncentral_shift_value_rejected(self, m2):
         with pytest.raises(ValueError, match="central"):
             liemaps.central_shift(
@@ -438,6 +447,9 @@ class TestSearch:
         assert res.complete and len(res.maps) == 9
 
     def test_random_8_element_rings_match_permutation_filter(self):
+        """Random rings of 8 elements over Z2 and of 9 elements over Z3.  Over
+        Z2 the bracket is symmetric, so the search's column check repeats its
+        row check; over Z3 the column check is what rejects some candidates."""
         rng = np.random.default_rng(42)
         done = 0
         while done < 4:
@@ -454,6 +466,17 @@ class TestSearch:
                     brute.add(perm)
             assert found == brute, ring.name
             done += 1
+        # every Lie multiplicative map fixes 0: the 8! permutations of 1..8
+        perms = np.array([(0, *p) for p in itertools.permutations(range(1, 9))], dtype=np.int8)
+        rng = np.random.default_rng(3)
+        for n in range(6):
+            ring = fixtures.RingSpec(f"rand3_{n}", 3, ("a", "b"), rng.integers(0, 3, size=(2, 2, 2)))
+            res = liemaps.search_lie_multiplicative_bijections(ring)
+            assert res.complete
+            cd = ring.commutator_index_table()
+            keep = (perms[:, cd] == cd[perms[:, :, None], perms[:, None, :]]).all(axis=(1, 2))
+            brute = {tuple(p) for p in perms[keep].tolist()}
+            assert {tuple(m.values.tolist()) for m in res.maps} == brute, ring.name
 
 
 class TestMapHygiene:

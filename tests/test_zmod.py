@@ -146,6 +146,21 @@ def test_solve_detects_unsolvable():
 
 
 @pytest.mark.parametrize("k", MODULI)
+def test_solve_is_none_exactly_when_brute_force_finds_no_solution(k):
+    """Random targets, most of them outside the image at composite k."""
+    rng = np.random.default_rng(200 + k)
+    xs = np.array(list(itertools.product(range(k), repeat=2)))
+    for _ in range(20):
+        m = rng.integers(0, k, size=(2, 2))
+        t = rng.integers(0, k, size=2)
+        solvable = (((xs @ m.T) - t) % k == 0).all(axis=1).any()
+        sol = zmod.solve(m, t, k)
+        assert (sol is not None) == solvable, (m.tolist(), t.tolist())
+        if sol is not None:
+            assert not ((m @ sol - t) % k).any()
+
+
+@pytest.mark.parametrize("k", MODULI)
 def test_intersection_matches_brute_force(k):
     rng = np.random.default_rng(7 * k)
     for _ in range(6):
