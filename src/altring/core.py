@@ -202,10 +202,9 @@ class RingSpec:
             self._cache[key] = t
         return t
 
-    def _pair_index_table(self, key: str, constants: np.ndarray | None) -> np.ndarray:
-        """(n, n) table: out[x, y] = index of A_x y + c_x mod k.  A_x is
-        y -> sum_ij x_i y_j constants[i, j] and c_x = 0, or, when ``constants``
-        is None, A_x = I and c_x = x (the sum).
+    def _pair_index_table(self, key: str, constants: np.ndarray) -> np.ndarray:
+        """(n, n) table: out[x, y] = index of A_x y mod k, with A_x the linear
+        map y -> sum_ij x_i y_j constants[i, j].
 
         Row x is an outer sum over the digits of y, least significant first:
         each step adds the images of one digit's k values to every partial
@@ -228,11 +227,7 @@ class RingSpec:
             for lo in range(0, n, step):
                 x = e[lo : lo + step]
                 s = len(x)
-                if constants is None:
-                    a, r = np.broadcast_to(np.eye(d, dtype=np.int64), (s, d, d)), x
-                else:
-                    a, r = np.einsum("ai,ijl->alj", x, constants) % k, np.zeros_like(x)
-                r = r.astype(digit)[:, :, None]
+                a, r = np.einsum("ai,ijl->alj", x, constants) % k, np.zeros((s, d, 1), dtype=digit)
                 for j in range(d - 1, -1, -1):
                     v = (a[:, :, j, None] * steps % k).astype(digit)
                     r = (v[:, :, :, None] + r[:, :, None, :]).reshape(s, d, -1)
@@ -249,18 +244,31 @@ class RingSpec:
         """(n, n) table: mul[i, j] = index of element_i * element_j."""
         return self._pair_index_table("mul_idx", self.table)
 
-    def add_index_table(self) -> np.ndarray:
-        """(n, n) table: add[i, j] = index of element_i + element_j."""
-        return self._pair_index_table("add_idx", None)
-
-    def neg_index_vector(self) -> np.ndarray:
-        """(n,) table: neg[i] = index of -element_i."""
+    def add_indices(self, x, y, sign: int = 1) -> np.ndarray:
+        """Indices of element_x + sign * element_y over broadcastable index
+        arrays.  An index is hi * m + lo, lo its low h = ceil(d/2) digits and
+        m = k**h: one (m, m) table of digit-wise x + sign * y mod k serves both
+        halves (hi has at most h digits).  Each sign caches it flat, then hi * m,
+        hi, lo * m and lo of every index (a divmod per call, or 2-D gathers,
+        measured up to twice as slow).  Only at d = 1 has it n**2 entries."""
+        d, k, n = self.dim, self.modulus, self.size
+        h = (d + 1) // 2
+        m = k**h
 
         def build():
-            e, w, k = self.elements_matrix(), self.index_weights, self.modulus
-            return ((-e) % k) @ w
+            t = np.zeros(m * m + 4 * n, dtype=np.int64)
+            digits = self._digit_rows(d - h, d)[:, d - h :]
+            for col, w in zip(digits.T, self.index_weights[d - h :]):
+                step = np.add.outer(w * col, sign * w * col)  # one temporary: n**2 at d = 1
+                step %= k * w
+                t[: m * m] += step.ravel()
+            hi, lo = np.divmod(np.arange(n), m)
+            t[m * m :] = np.concatenate([hi * m, hi, lo * m, lo])
+            return t
 
-        return self._index_table("neg_idx", build)
+        t = self._index_table(f"add{sign:+d}", build)
+        half, (hi_row, hi, lo_row, lo) = t[: m * m], t[m * m :].reshape(4, n)
+        return half[hi_row[x] + hi[y]] * m + half[lo_row[x] + lo[y]]
 
     def commutator_index_table(self) -> np.ndarray:
         """(n, n) table of [x, y] element indices.  The bracket is bilinear with
@@ -407,12 +415,15 @@ class Submodule:
         return zmod.span_count(self.rows, self.ring.modulus)
 
     def contains(self, x: Element) -> bool:
+        if self.ring != x.ring:
+            raise RingMismatchError("element and submodule of different rings")
         return bool(zmod.member(self.rows, x.vector(), self.ring.modulus))
 
-    def __contains__(self, x: Element) -> bool:
-        return self.contains(x)
+    __contains__ = contains
 
     def contains_submodule(self, other: "Submodule") -> bool:
+        if self.ring != other.ring:
+            raise RingMismatchError("submodules of different rings")
         return bool(zmod.member(self.rows, other.rows, self.ring.modulus).all())
 
     def __le__(self, other: "Submodule") -> bool:

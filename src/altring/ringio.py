@@ -13,7 +13,7 @@ that carry the offending location.
 from __future__ import annotations
 
 import json
-from typing import IO, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -107,10 +107,6 @@ def loads_ring(text: str, where: str = "<ring>") -> RingSpec:
 def load_ring(path) -> RingSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_ring(fh.read(), where=str(path))
-
-
-def dump_ring(ring: RingSpec, fp: IO[str]) -> None:
-    fp.write(dumps_ring(ring))
 
 
 def map_to_doc(values, domain: RingSpec, codomain: RingSpec, inline: bool = False) -> dict:

@@ -6,9 +6,10 @@ meaningful.  Only usable at desk scale.  The exceptions are
 ``reference_triple_derivable``, ``reference_prime_by_ideals`` and
 ``reference_prime_scans``, numpy scans kept to pin a witness order at sizes
 the dict oracles cannot reach, ``reference_span_elements``, the former span
-enumeration kept to pin its order, and the ``reference_peirce*``
+enumeration kept to pin its order, the ``reference_peirce*``
 procedures, the Peirce layer as the package computed it with scalar
-``Element`` products.
+``Element`` products, and ``reference_sum_table``, sums of element indices
+straight from the coefficient vectors.
 """
 
 import itertools
@@ -248,6 +249,14 @@ def reference_primeness(ring):
     }
 
 
+def reference_sum_table(ring, sign=1):
+    """(n, n) table of the indices of element_x + sign * element_y, from the
+    coefficient vectors of ``elements_matrix()`` (an (n, n, d) temporary:
+    small rings only)."""
+    e, w, k = ring.elements_matrix(), ring.index_weights, ring.modulus
+    return ((e[:, None, :] + sign * e[None, :, :]) % k) @ w
+
+
 def reference_triple_derivable(ring, values):
     """The Lie triple law D([[x,y],z]) == [s[x,y], z] + [[x,y], D(z)], with s
     the Leibniz table [D(x), y] + [x, D(y)], as a per-z scan over all (x, y):
@@ -257,10 +266,11 @@ def reference_triple_derivable(ring, values):
     The library decided the law this way before it checked each distinct
     (bracket, Leibniz) pair once; the scan is kept as the oracle for the
     witness order on rings too large for BruteRing.  Unlike the rest of this
-    module it reads the ring's numpy index tables.
+    module it reads the ring's bracket table; its sums come from
+    ``reference_sum_table``.
     """
     c = ring.commutator_index_table()
-    a = ring.add_index_table()
+    a = reference_sum_table(ring)
     v = np.asarray(values, dtype=np.int64)
     s = a[c[v, :], c[:, v]]
     for z in range(ring.size):

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from altring import RingMismatchError, Submodule, associator, canonicalize, commutator
-from altring import fixtures
+from altring import analysis, fixtures
 from altring.core import RingSpec, kernel_submodule
 
-from helpers import BruteRing, reference_span_elements
+from helpers import BruteRing, reference_span_elements, reference_sum_table
 
 
 @pytest.fixture(scope="module")
@@ -160,12 +160,13 @@ class TestParsing:
 
 def test_bilinearity_exhaustive_on_desk_scale_fixtures():
     """(x+y)z = xz + yz and z(x+y) = zx + zy over all element triples,
-    vectorised through the index tables."""
+    vectorised through the product table and a sum table built from the
+    coefficient vectors."""
     for fx, ring in fixtures.standard_instances():
         if ring.size > 4096:
             continue
         m = ring.mul_index_table()
-        a = ring.add_index_table()
+        a = reference_sum_table(ring)
         for l in range(ring.size):
             col = m[:, l]  # x -> x * element_l
             assert np.array_equal(col[a], a[col[:, None], col[None, :]]), ring.name
@@ -181,10 +182,9 @@ def test_associator_trilinearity_exhaustive_on_small_fixtures():
         if n > 64:
             continue
         m = ring.mul_index_table()
-        a = ring.add_index_table()
-        neg = ring.neg_index_vector()
+        a = reference_sum_table(ring)
         # assoc[i, j, l] = (x_i x_j) x_l - x_i (x_j x_l), as indices
-        assoc = a[m[m], neg[m[:, m]]]
+        assoc = reference_sum_table(ring, -1)[m[m], m[:, m]]
         for w in range(n):
             assert np.array_equal(
                 assoc[a[:, w], :, :], a[assoc, assoc[w, :, :][None, :, :]]
@@ -271,6 +271,22 @@ class TestSubmodules:
         assert (a + b).span_size() == 8
         assert (a + b).contains_submodule(a)
         assert a <= a + b
+
+    def test_membership_across_rings_rejected(self):
+        """An element or submodule of another ring is refused, also where its
+        coefficient vector has the same length (matrix2 over Z2 and Z3)."""
+        centre = analysis.centre(fixtures.matrix2(2))
+        m3, zorn = fixtures.matrix2(3), fixtures.zorn(2)
+        for x in (m3.parse_element("e11+e22"), zorn.parse_element("e11")):
+            with pytest.raises(RingMismatchError):
+                centre.contains(x)
+            with pytest.raises(RingMismatchError):
+                x in centre
+        for other in (analysis.centre(m3), Submodule.full(zorn)):
+            with pytest.raises(RingMismatchError):
+                centre.contains_submodule(other)
+            with pytest.raises(RingMismatchError):
+                other <= centre
 
     def test_non_unit_pivots_over_z4(self):
         r = fixtures.triangular2(4)

@@ -1,10 +1,12 @@
-"""The pairwise index tables against the plain contraction (einsum % k) @ w.
+"""The pairwise index tables against the plain contraction (einsum % k) @ w,
+and sums and differences of indices against ((e[x] +- e) % k) @ w.
 
-The tables are built as digit outer sums in small unsigned types; the
-reference here is the direct int64 contraction, over every row or, when
-n > 512, over 64 sampled rows, on seeded random structure constants at moduli
-on both sides of the switch from uint8 to uint16 digits (2(k-1) > 255) and
-at the largest table size.
+The tables are built as digit outer sums in small unsigned types, and sums
+and differences from one table over half the digits; the reference here is
+the direct int64 arithmetic, over every row or, when n > 512, over 64 sampled
+rows, on seeded random structure constants at moduli on both sides of the
+switch from uint8 to uint16 digits (2(k-1) > 255), at the largest table size
+and at odd dimensions, where the high half has one digit fewer than the low.
 """
 
 import numpy as np
@@ -14,7 +16,8 @@ from altring.core import INDEX_TABLE_LIMIT, RingSpec
 
 # (dimension, modulus): d = 1 crosses the digit-width switch between k = 128
 # and k = 129, and reaches the largest modulus a table allows.
-CASES = [(1, k) for k in (127, 128, 129, 255, 256, 257, 4096)] + [(2, 64), (12, 2)]
+CASES = [(1, k) for k in (127, 128, 129, 255, 256, 257, 4096)]
+CASES += [(2, 64), (12, 2), (3, 16), (5, 5)]
 SAMPLED_ROWS = 64
 
 
@@ -29,8 +32,8 @@ def _random_ring(d, k, dense, seed):
 def _reference(ring, which, rows):
     e, w, k, t = ring.elements_matrix(), ring.index_weights, ring.modulus, ring.table
     x = e[rows]
-    if which == "add":
-        return ((x[:, None, :] + e[None, :, :]) % k) @ w
+    if which in (1, -1):
+        return ((x[:, None, :] + which * e[None, :, :]) % k) @ w
     constants = t if which == "mul" else t - t.transpose(1, 0, 2)
     return (np.einsum("ai,ijl,bj->abl", x, constants, e, optimize=True) % k) @ w
 
@@ -42,11 +45,11 @@ def test_pair_tables_match_einsum_oracle(d, k, dense):
     n = ring.size
     assert n <= INDEX_TABLE_LIMIT
     rows = np.arange(n) if n <= 512 else np.sort(rng.choice(n, SAMPLED_ROWS, replace=False))
-    for which, build in (
-        ("mul", ring.mul_index_table),
-        ("add", ring.add_index_table),
-        ("comm", ring.commutator_index_table),
-    ):
+    for which, build in (("mul", ring.mul_index_table), ("comm", ring.commutator_index_table)):
         table = build()
         assert table.dtype == np.int64 and table.shape == (n, n)
         assert np.array_equal(table[rows], _reference(ring, which, rows)), which
+    for sign in (1, -1):
+        sums = ring.add_indices(rows[:, None], np.arange(n), sign)
+        assert sums.dtype == np.int64
+        assert np.array_equal(sums, _reference(ring, sign, rows)), sign

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from altring import analysis, fixtures, liemaps
+from altring.core import INDEX_TABLE_LIMIT
 from altring.liemaps import MapTable
 
 from helpers import BruteRing
@@ -275,11 +276,22 @@ class TestDefects:
         assert d not in rep.centre
         assert liemaps.additivity_defect(phi, a, b) == d
 
-    def test_same_shape_codomain_builds_no_sum_table(self, t2):
-        cod = fixtures.build("zero3", 2)
-        phi = MapTable(t2, cod, np.random.default_rng(5).integers(0, cod.size, t2.size))
-        liemaps.check_almost_additive(phi)
-        assert "add_idx" not in cod._cache and "neg_idx" not in cod._cache
+    def test_builds_no_table_sized_array(self):
+        """Sums and differences come from one table over half the digits: no
+        (n, n) array is cached on the domain or the codomain, of the same
+        shape as the domain or not."""
+        for case in ("past_first_block", "to_triangular2_z3"):
+            phi = DEFECT_CASES[case]()
+            liemaps.check_almost_additive(phi)
+            for ring in (phi.domain, phi.codomain):
+                shapes = [np.shape(t) for t in ring._cache.values()]
+                assert (ring.size, ring.size) not in shapes, (case, ring.name)
+
+    def test_past_the_table_limit_refused(self):
+        ring = fixtures.zero_ring(13, 2)
+        assert ring.size > INDEX_TABLE_LIMIT
+        with pytest.raises(ValueError, match="index tables are limited"):
+            liemaps.check_almost_additive(MapTable.identity(ring))
 
     @pytest.mark.parametrize("case", sorted(DEFECT_CASES))
     def test_report_matches_lex_order_scan(self, case):
@@ -308,13 +320,13 @@ class TestDefects:
 
 
 def test_pairwise_scans_keep_no_table_sized_temporaries():
-    """With the index tables built, the Lie multiplicative check and the
+    """With the bracket table built, the Lie multiplicative check and the
     defect report work in row blocks: neither peaks at a quarter of one
     (n, n) int64 table."""
     ring = fixtures.matrix2(7)
     phi = MapTable.identity(ring)
-    # the tables are cached on the ring: build them before tracing
-    ring.commutator_index_table(), ring.add_index_table(), ring.neg_index_vector()
+    # the bracket table is cached on the ring: build it before tracing
+    ring.commutator_index_table()
     bound = ring.size**2 * 8 // 4
     for check in (liemaps.is_lie_multiplicative, liemaps.check_almost_additive):
         tracemalloc.start()
@@ -438,13 +450,6 @@ class TestSearch:
         a = fixtures.zero_ring(1, 3)
         res = liemaps.search_lie_multiplicative_bijections(a)
         assert res.complete and len(res.maps) == 2  # permutations of {1, 2}
-
-    def test_without_injectivity(self):
-        a = fixtures.zero_ring(1, 3)
-        res = liemaps.search_lie_multiplicative_bijections(a, require_bijection=False)
-        # all maps fixing 0 with arbitrary images: brackets all zero, so
-        # every one of the 3^2 assignments qualifies
-        assert res.complete and len(res.maps) == 9
 
     def test_random_8_element_rings_match_permutation_filter(self):
         """Random rings of 8 elements over Z2 and of 9 elements over Z3.  Over

@@ -7,7 +7,7 @@ import pytest
 from altring import commutator, fixtures, liemaps
 from altring.liemaps import MapTable
 
-from helpers import reference_triple_derivable
+from helpers import reference_sum_table, reference_triple_derivable
 
 # catalog rings of at most 256 elements at k in {2, 3, 4}
 SMALL_RINGS = [
@@ -20,7 +20,7 @@ SMALL_RINGS = [
 
 def distinct_pairs(ring, vals):
     """Number of distinct ([x, y], [D(x), y] + [x, D(y)]) over all (x, y)."""
-    c, a = ring.commutator_index_table(), ring.add_index_table()
+    c, a = ring.commutator_index_table(), reference_sum_table(ring)
     s = a[c[vals, :], c[:, vals]]
     return len(np.unique(c * ring.size + s))
 
@@ -80,7 +80,7 @@ def test_first_failure_beyond_first_block(monkeypatch):
     narrow z-blocks the least failing z lies in a later block."""
     ring = fixtures.build("matrix2_pair", 2)
     n = ring.size
-    c, a = ring.commutator_index_table(), ring.add_index_table()
+    c, a = ring.commutator_index_table(), reference_sum_table(ring)
     rng = np.random.default_rng(5)
     shift = rng.integers(0, 16, size=16) * 16
     shift[0] = 0
