@@ -182,8 +182,11 @@ def commutant(ring: RingSpec) -> Submodule:
 
 
 def centre(ring: RingSpec) -> Submodule:
-    """Nucleus elements commuting with everything."""
-    return nucleus(ring) & commutant(ring)
+    """Nucleus elements commuting with everything.  Its rows are cached on the
+    ring, not as a Submodule: that would refer back to the ring, a cycle."""
+    if "centre" not in ring._cache:
+        ring._cache["centre"] = (nucleus(ring) & commutant(ring)).rows
+    return Submodule(ring, ring._cache["centre"])
 
 
 def _least_nonzero(sub: Submodule) -> Element:

@@ -348,10 +348,9 @@ def search_maps(ring_file, codomain_file, budget, fmt, assertions, output):
         result = liemaps.search_lie_multiplicative_bijections(domain, codomain, budget=budget)
     except ValueError as exc:
         raise ToolError(str(exc)) from exc
-    centre = analysis.centre(codomain)
     entries = []
     for m in result.maps:
-        rep = liemaps.check_almost_additive(m, centre=centre)
+        rep = liemaps.check_almost_additive(m)
         entries.append(
             {
                 "values": [int(v) for v in m.values],

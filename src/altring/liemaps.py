@@ -2,16 +2,13 @@
 
 Maps are stored as full value tables indexed by element index, never as
 basis images: a Lie multiplicative map need not be additive, so its basis
-images do not determine it.  Verifiers run over all argument tuples using
-the rings' cached bracket tables and ``RingSpec.add_indices``; the bracket
-is bilinear even where D is not, so both derivability checks read one
-Leibniz table s[x, y] = [D(x), y] + [x, D(y)], and every failure is the
-lex-least (x, y) of a mismatch mask built one row block at a time, least
-rows first.
-The triple law reads (x, y) only through the pair ([x, y], s[x, y]), so it
-is checked once per distinct pair against every z, least z first.  The
-searcher enumerates value tables by backtracking with incremental
-bracket-constraint checks.
+images do not determine it.  Verifiers run over all argument tuples with the
+rings' cached bracket tables and ``RingSpec.add_indices``; every failure is
+the lex-least (x, y) of a mismatch mask built per row block, least first.
+The bracket is bilinear even where D is not, so both derivability laws read
+(x, y) only through ([x, y], [D(x), y] + [x, D(y)]) and are checked once per
+distinct pair.  The searcher enumerates value tables by backtracking with
+incremental bracket-constraint checks.
 """
 
 from __future__ import annotations
@@ -110,9 +107,8 @@ def _first_pair(ring: RingSpec, mask_rows) -> tuple[Element, Element] | None:
     return None
 
 
-def _verdict(ring: RingSpec, mask_rows, tag: str) -> Verdict:
-    """Fails with witness ``_first_pair(ring, mask_rows)`` if there is one."""
-    witness = _first_pair(ring, mask_rows)
+def _verdict(witness, tag: str) -> Verdict:
+    """Fails with ``witness`` unless it is None."""
     return Verdict(True) if witness is None else Verdict(False, witness, tag)
 
 
@@ -120,47 +116,57 @@ def is_lie_multiplicative(phi: MapTable) -> Verdict:
     """phi([x, y]) == [phi(x), phi(y)] over all ordered pairs."""
     cd, cc = phi.domain.commutator_index_table(), phi.codomain.commutator_index_table()
     v = phi.values
-    return _verdict(
-        phi.domain, lambda rows: v[cd[rows]] != cc[v[rows, None], v], "lie-multiplicative"
-    )
+    witness = _first_pair(phi.domain, lambda rows: v[cd[rows]] != cc[v[rows, None], v])
+    return _verdict(witness, "lie-multiplicative")
 
 
-def _leibniz_table(d: MapTable) -> np.ndarray:
-    """s[x, y] = [D(x), y] + [x, D(y)] as element indices (self-maps only)."""
+def _leibniz_pairs(d: MapTable):
+    """(p, q, least): the distinct pairs (p, q) = ([x, y], s[x, y]), ascending,
+    with s[x, y] = [D(x), y] + [x, D(y)] computed per row block and never kept,
+    and least(hit): the lex-least (x, y) whose pair is set in hit, found by
+    marking those pairs in the presence bitmap and rescanning s to the first."""
     if d.domain != d.codomain:
         raise ValueError("derivability is defined for self-maps only")
     ring, v = d.domain, d.values
-    c = ring.commutator_index_table()
-    # [x, D(y)] = -[D(y), x], so both terms gather rows of c, never columns
-    # (the unblocked column gather measured 2.5-4x slower at n = 4096)
-    s = np.empty(c.shape, dtype=np.int64)
-    for rows in _row_blocks(ring.size):
-        s[rows] = ring.add_indices(c[v[rows]], c[v, rows].T, -1)
-    return s
+    n, c = ring.size, ring.commutator_index_table()
+
+    def leibniz(rows):
+        # [x, D(y)] = -[D(y), x], so both terms gather rows of c, never columns
+        # (the unblocked column gather measured 2.5-4x slower at n = 4096)
+        return ring.add_indices(c[v[rows]], c[v, rows].T, -1)
+
+    marked = np.zeros((n, n), dtype=bool)
+    for rows in _row_blocks(n):
+        marked[c[rows], leibniz(rows)] = True
+    p, q = np.divmod(np.flatnonzero(marked), n)
+
+    def least(hit: np.ndarray) -> tuple[Element, Element] | None:
+        marked[:] = False
+        marked[p[hit], q[hit]] = True
+        return _first_pair(ring, lambda rows: marked[c[rows], leibniz(rows)])
+
+    return p, q, least
 
 
-def _lie_derivable(d: MapTable, s: np.ndarray) -> Verdict:
-    c, v = d.domain.commutator_index_table(), d.values
-    return _verdict(d.domain, lambda rows: v[c[rows]] != s[rows], "lie-derivable")
+def _lie_derivable(d: MapTable, pairs) -> Verdict:
+    p, q, least = pairs
+    hit = q != d.values[p]  # D([x, y]) == s[x, y] reads (x, y) only as q == D(p)
+    return _verdict(least(hit) if hit.any() else None, "lie-derivable")
 
 
 def is_lie_derivable(d: MapTable) -> Verdict:
     """D([x, y]) == [D(x), y] + [x, D(y)] over all ordered pairs (self-maps)."""
-    return _lie_derivable(d, _leibniz_table(d))
+    return _lie_derivable(d, _leibniz_pairs(d))
 
 
 # entries per z-block of the triple check: its gathers stay near 8 MB of int64
 _TRIPLE_BLOCK = 1 << 20
 
 
-def _lie_triple_derivable(d: MapTable, s: np.ndarray) -> Verdict:
+def _lie_triple_derivable(d: MapTable, pairs) -> Verdict:
     ring, v = d.domain, d.values
     n, c = ring.size, ring.commutator_index_table()
-    # the law reads (x, y) only through p = [x, y] and q = s[x, y]; the
-    # distinct pairs come out of a presence bitmap in ascending (p, q)
-    seen = np.zeros((n, n), dtype=bool)
-    seen[c, s] = True
-    p, q = np.divmod(np.flatnonzero(seen), n)
+    p, q, least = pairs
     first = np.ones(len(p), dtype=bool)
     first[1:] = p[1:] != p[:-1]
     rows, row_of = p[first], np.cumsum(first) - 1
@@ -173,32 +179,25 @@ def _lie_triple_derivable(d: MapTable, s: np.ndarray) -> Verdict:
         failing = bad.any(axis=0)
         if failing.any():
             col = int(np.argmax(failing))
-            hit = bad[:, col]
-            bad_key = np.zeros((n, n), dtype=bool)
-            bad_key[p[hit], q[hit]] = True
-            pair = _first_pair(ring, lambda rows: bad_key[c[rows], s[rows]])
-            return Verdict(False, pair + (ring.from_index(lo + col),), "lie-triple-derivable")
+            witness = least(bad[:, col]) + (ring.from_index(lo + col),)
+            return Verdict(False, witness, "lie-triple-derivable")
     return Verdict(True)
 
 
 def is_lie_triple_derivable(d: MapTable) -> Verdict:
     """D([[x,y],z]) == [[D(x),y],z] + [[x,D(y)],z] + [[x,y],D(z)] over all
-    ordered triples, least z first, then the lex-least (x, y).  The bracket
-    is bilinear, so the first two terms are [s[x, y], z] with s the Leibniz
-    table, and the law reads (x, y) only through p = [x, y] and q = s[x, y]:
-    D([p, z]) - [p, D(z)] == [q, z].  Each distinct (p, q) is checked against
-    every z, in blocks of z, so the work is (distinct pairs) x n rather than
-    n^3."""
-    return _lie_triple_derivable(d, _leibniz_table(d))
+    ordered triples, least z first, then the lex-least (x, y).  With p = [x, y]
+    and q = s[x, y] the law is D([p, z]) - [p, D(z)] == [q, z], checked for
+    each distinct (p, q) against blocks of z: (distinct pairs) x n, not n^3."""
+    return _lie_triple_derivable(d, _leibniz_pairs(d))
 
 
 def derivable_report(d: MapTable) -> dict[str, Verdict]:
-    """Both derivability predicates on one Leibniz table, cross-checked: a
-    Lie derivable map is always Lie triple derivable, so derivable=True with
-    triple=False would indicate an internal inconsistency and raises."""
-    s = _leibniz_table(d)
-    simple = _lie_derivable(d, s)
-    triple = _lie_triple_derivable(d, s)
+    """Both derivability predicates on one set of distinct (bracket, Leibniz)
+    pairs; raises if they disagree (Lie derivable maps are Lie triple derivable)."""
+    pairs = _leibniz_pairs(d)
+    simple = _lie_derivable(d, pairs)
+    triple = _lie_triple_derivable(d, pairs)
     if simple.ok and not triple.ok:
         raise AssertionError(
             "map verified Lie derivable but not Lie triple derivable; "
@@ -228,18 +227,17 @@ class DefectReport:
         return additivity_defect(self.phi, a, b)
 
 
-def check_almost_additive(phi: MapTable, centre: Submodule | None = None) -> DefectReport:
+def check_almost_additive(phi: MapTable) -> DefectReport:
     """Is every additivity defect central in the codomain?
 
-    ``centre`` defaults to the codomain's centre (nucleus intersected with
-    the commutant); pass another submodule to grade against a different
-    reference.  One pass over row blocks finds the lex-least nonzero defect
-    and the lex-least non-central one, and stops at the latter: a
-    non-central defect is nonzero, so the sample never comes after it.
+    Defects are graded against the codomain's centre (nucleus intersected
+    with the commutant), which is cached on the ring.  One pass over row
+    blocks finds the lex-least nonzero defect and the lex-least non-central
+    one, and stops at the latter: a non-central defect is nonzero, so the
+    sample never comes after it.
     """
     dom, cod = phi.domain, phi.codomain
-    if centre is None:
-        centre = analysis.centre(cod)
+    centre = analysis.centre(cod)
     v, b = phi.values, np.arange(dom.size)
     central = np.zeros(cod.size, dtype=bool)
     central[centre.elements_matrix() @ cod.index_weights] = True

@@ -175,26 +175,38 @@ class TestDerivable:
             if liemaps.is_lie_derivable(d).ok:
                 assert liemaps.is_lie_triple_derivable(d).ok
 
-    def test_derivable_oracle_agreement(self, t2):
-        br = BruteRing(t2)
+    def test_derivable_oracle_agreement(self, t2, m2):
+        """Verdict and witness of is_lie_derivable and of derivable_report equal
+        a BruteRing lex-least scan, on random maps of triangular2_z2 and on
+        inner derivations of matrix2_z2 with one value changed, which fail
+        past (0, 0)."""
         rng = np.random.default_rng(1)
-        n = t2.size
-        elems = br.elements
-        for _ in range(50):
-            vals = rng.integers(0, n, size=n)
-            d = MapTable(t2, t2, vals)
+        cases = [(t2, rng.integers(0, t2.size, size=t2.size)) for _ in range(50)]
+        for i in range(m2.size):
+            vals = liemaps.inner_lie_derivation(m2, m2.from_index(i)).values.copy()
+            at = int(rng.integers(1, m2.size))
+            vals[at] = (vals[at] + int(rng.integers(1, m2.size))) % m2.size
+            cases.append((m2, vals))
+        witnesses = []
+        for ring, vals in cases:
+            br = BruteRing(ring)
+            elems = br.elements
             tab = {x: elems[vals[br.index(x)]] for x in elems}
-
-            def brute_ok():
-                for x in elems:
-                    for y in elems:
-                        lhs = tab[br.comm(x, y)]
-                        rhs = br.add(br.comm(tab[x], y), br.comm(x, tab[y]))
-                        if lhs != rhs:
-                            return False
-                return True
-
-            assert liemaps.is_lie_derivable(d).ok == brute_ok()
+            expected = next(
+                (
+                    [br.index(x), br.index(y)]
+                    for x in elems
+                    for y in elems
+                    if tab[br.comm(x, y)] != br.add(br.comm(tab[x], y), br.comm(x, tab[y]))
+                ),
+                None,
+            )
+            d = MapTable(ring, ring, vals)
+            for v in (liemaps.is_lie_derivable(d), liemaps.derivable_report(d)["lie_derivable"]):
+                assert v.ok == (expected is None)
+                assert v.witness_indices() == expected
+            witnesses.append(expected)
+        assert any(w is not None and w != [0, 0] for w in witnesses)
 
     @pytest.mark.parametrize("ring_name", ["triangular2_z2", "random_z6"])
     def test_triple_derivable_oracle_verdict_and_witness(self, ring_name, t2):
@@ -276,6 +288,16 @@ class TestDefects:
         assert d not in rep.centre
         assert liemaps.additivity_defect(phi, a, b) == d
 
+    def test_graded_against_the_cached_codomain_centre(self, monkeypatch):
+        """The centre is computed once per ring and shared by every report,
+        as search-maps grades hundreds of maps on one codomain."""
+        m2, calls = fixtures.matrix2(2), []
+        nucleus = analysis.nucleus
+        monkeypatch.setattr(analysis, "nucleus", lambda ring: calls.append(ring) or nucleus(ring))
+        for phi in (MapTable.identity(m2), noncentral_swap(m2), central_swap(m2)):
+            assert liemaps.check_almost_additive(phi).centre == analysis.centre(m2)
+        assert calls == [m2]
+
     def test_builds_no_table_sized_array(self):
         """Sums and differences come from one table over half the digits: no
         (n, n) array is cached on the domain or the codomain, of the same
@@ -322,16 +344,23 @@ class TestDefects:
 def test_pairwise_scans_keep_no_table_sized_temporaries():
     """With the bracket table built, the Lie multiplicative check and the
     defect report work in row blocks: neither peaks at a quarter of one
-    (n, n) int64 table."""
+    (n, n) int64 table.  The derivability report keeps no Leibniz table: it
+    peaks below one such table (its triple check's z-blocks of 2**20 entries
+    come near half of one at this size by design)."""
     ring = fixtures.matrix2(7)
     phi = MapTable.identity(ring)
-    # the bracket table is cached on the ring: build it before tracing
-    ring.commutator_index_table()
-    bound = ring.size**2 * 8 // 4
-    for check in (liemaps.is_lie_multiplicative, liemaps.check_almost_additive):
+    # the bracket table is cached on the ring: this builds it before tracing
+    inner = liemaps.inner_lie_derivation(ring, ring.parse_element("e12"))
+    table = ring.size**2 * 8
+    checks = [
+        (liemaps.is_lie_multiplicative, phi, table // 4),
+        (liemaps.check_almost_additive, phi, table // 4),
+        (liemaps.derivable_report, inner, table),
+    ]
+    for check, arg, bound in checks:
         tracemalloc.start()
         try:
-            check(phi)
+            check(arg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
