@@ -19,7 +19,7 @@ then the least basis y, the left alternative law before the right one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -301,7 +301,7 @@ def _peirce_projections(
 @dataclass(frozen=True)
 class PeirceFrame:
     """The four components R11, R12, R21, R22 of a ring at an idempotent e1,
-    with the elementwise projections that define them."""
+    with their projections; ``subspaces`` caches ``condition_subspace``."""
 
     ring: RingSpec
     e1: Element
@@ -309,6 +309,7 @@ class PeirceFrame:
     r12: Submodule
     r21: Submodule
     r22: Submodule
+    subspaces: dict[str, Submodule] = field(default_factory=dict, compare=False, repr=False)
 
     def component(self, i: int, j: int) -> Submodule:
         return {(1, 1): self.r11, (1, 2): self.r12, (2, 1): self.r21, (2, 2): self.r22}[
@@ -404,11 +405,14 @@ def condition_subspace(frame: PeirceFrame, side: str) -> Submodule:
     by ``side`` ("12" or "21"); exact by bilinearity of the bracket."""
     if side not in ("12", "21"):
         raise ValueError("side must be '12' or '21'")
-    comp = frame.r12 if side == "12" else frame.r21
-    ring, t = frame.ring, frame.ring.table
-    # row (c, l), column i: the l-th coefficient of [b_i, c] for Howell rows c
-    rows = np.einsum("ijl,cj->cli", t - t.transpose(1, 0, 2), comp.rows).reshape(-1, ring.dim)
-    return frame.diagonal_sum() & Submodule(ring, zmod.kernel(rows, ring.modulus))
+    if side not in frame.subspaces:
+        comp = frame.r12 if side == "12" else frame.r21
+        ring, t = frame.ring, frame.ring.table
+        # row (c, l), column i: the l-th coefficient of [b_i, c] for Howell rows c
+        rows = np.einsum("ijl,cj->cli", t - t.transpose(1, 0, 2), comp.rows).reshape(-1, ring.dim)
+        ker = Submodule(ring, zmod.kernel(rows, ring.modulus))
+        frame.subspaces[side] = frame.diagonal_sum() & ker
+    return frame.subspaces[side]
 
 
 def check_condition(frame: PeirceFrame, side: str) -> Verdict:

@@ -57,69 +57,61 @@ def as_matrix(rows, k: int, width: int | None = None) -> np.ndarray:
     return a.reshape(1, -1) % k
 
 
-def _howell_inplace(work: list[np.ndarray], k: int, npivot: int) -> int:
+def _howell_inplace(work: np.ndarray, k: int, npivot: int) -> tuple[np.ndarray, int]:
     """Reduce ``work`` so its first r rows are the Howell echelon over the
-    first ``npivot`` columns and every later row is zero there.
+    first ``npivot`` columns, every later row zero there; returns (work, r).
 
-    Columns beyond ``npivot`` ride along unreduced, which is what
-    ``_zero_row_tails`` relies on.  Returns r.
+    Per pivot column: unit-scale the pivot row to p = gcd(entry, k); give
+    each row whose entry p does not divide (composite k) an egcd pair step
+    with it and append the annihilator row (k/p)·pivot when nonzero; then
+    one array step subtracts (entry // p)·pivot, from column c on (the pivot
+    row is zero left of c), from each row where that is nonzero: rows below
+    clear, rows above reduce into [0, p).  A column zero in rows r on stays
+    zero; one scan skips a run of them.  Columns past ``npivot`` ride along.
     """
-    r = 0
-    for c in range(npivot):
-        pivot_at = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_at = i
-                break
-        if pivot_at is None:
+    r = c = 0
+    while r < len(work) and c < npivot:
+        below = work[r:, c].nonzero()[0]
+        if not len(below):
+            ahead = work[r:, c:npivot].any(axis=0).nonzero()[0]
+            c = c + ahead[0] if len(ahead) else npivot
             continue
-        work[r], work[pivot_at] = work[pivot_at], work[r]
-        for i in range(r + 1, len(work)):
-            b = int(work[i][c])
-            if b == 0:
-                continue
-            a = int(work[r][c])
-            if b % a == 0:
-                work[i] = (work[i] - (b // a) * work[r]) % k
-            else:
-                g, s, t = egcd(a, b)
-                new_r = (s * work[r] + t * work[i]) % k
-                new_i = ((a // g) * work[i] - (b // g) * work[r]) % k
-                work[r], work[i] = new_r, new_i
-        u = unit_multiplier(int(work[r][c]), k)
-        if u != 1:
-            work[r] = (work[r] * u) % k
-        p = int(work[r][c])
-        for i in range(r):
-            q = int(work[i][c]) // p
-            if q:
-                work[i] = (work[i] - q * work[r]) % k
-        ann = k // p
-        if ann % k:
-            extra = (work[r] * ann) % k
+        if below[0]:
+            work[[r, r + below[0]]] = work[[r + below[0], r]]
+        if (u := unit_multiplier(int(work[r, c]), k)) != 1:
+            work[r] = work[r] * u % k
+        p = int(work[r, c])
+        if p > 1:
+            for i in r + 1 + (work[r + 1:, c] % p).nonzero()[0]:
+                b = int(work[i, c])
+                g, s, t = egcd(p, b)
+                work[[r, i]] = [[s, t], [-(b // g), p // g]] @ work[[r, i]] % k
+                p = g
+            extra = work[r] * (k // p) % k
             if extra.any():
-                work.append(extra)
-        r += 1
-    return r
+                work = np.vstack([work, extra])
+        q = work[:, c] // p
+        q[r] = 0
+        rows = q.nonzero()[0]
+        work[rows, c:] = (work[rows, c:] - np.multiply.outer(q[rows], work[r, c:])) % k
+        r, c = r + 1, c + 1
+    return work, r
 
 
 def howell(rows, k: int, width: int | None = None) -> np.ndarray:
     """Canonical Howell form of the row span; zero rows dropped."""
     a = as_matrix(rows, k, width)
-    work = [row.copy() for row in a if row.any()]
-    r = _howell_inplace(work, k, a.shape[1])
-    if r == 0:
-        return np.zeros((0, a.shape[1]), dtype=np.int64)
-    return np.vstack(work[:r])
+    work, r = _howell_inplace(a[a.any(axis=1)], k, a.shape[1])
+    return work[:r].copy()
 
 
 def _zero_row_tails(rows: np.ndarray, k: int, npivot: int) -> np.ndarray:
     """Howell form of the span's elements that vanish on the first ``npivot``
     columns, read at the remaining columns: the tails of the rows that
-    ``_howell_inplace`` reduces to zero there.  ``rows`` is reduced mod k."""
-    work = [row.copy() for row in rows]
-    r = _howell_inplace(work, k, npivot)
-    return howell([row[npivot:] for row in work[r:]], k, width=rows.shape[1] - npivot)
+    ``_howell_inplace`` reduces to zero there.  ``rows`` is reduced mod k
+    and is overwritten."""
+    work, r = _howell_inplace(rows, k, npivot)
+    return howell(work[r:, npivot:], k, width=rows.shape[1] - npivot)
 
 
 def kernel(mat, k: int) -> np.ndarray:
@@ -135,11 +127,10 @@ def kernel(mat, k: int) -> np.ndarray:
 
 def pivots(h: np.ndarray) -> list[tuple[int, int]]:
     """(column, value) of each pivot of a matrix in Howell form."""
-    out = []
-    for row in h:
-        c = int(np.argmax(row != 0))
-        out.append((c, int(row[c])))
-    return out
+    if not h.size:
+        return []
+    cols = np.argmax(h != 0, axis=1)
+    return list(zip(cols.tolist(), h[np.arange(len(h)), cols].tolist()))
 
 
 def reduce_mod_span(h: np.ndarray, v, k: int) -> np.ndarray:

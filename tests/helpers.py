@@ -8,8 +8,9 @@ meaningful.  Only usable at desk scale.  The exceptions are
 the dict oracles cannot reach, ``reference_span_elements``, the former span
 enumeration kept to pin its order, the ``reference_peirce*``
 procedures, the Peirce layer as the package computed it with scalar
-``Element`` products, and ``reference_sum_table``, sums of element indices
-straight from the coefficient vectors.
+``Element`` products, ``reference_sum_table``, sums of element indices
+straight from the coefficient vectors, and ``reference_howell``, the
+row-at-a-time Howell elimination that ``zmod`` replaced with array steps.
 """
 
 import itertools
@@ -379,6 +380,42 @@ def reference_prime_scans(ring):
         "criterion_left": criterion("left"),
         "criterion_right": criterion("right"),
     }
+
+
+def reference_howell(rows, k, width):
+    """Howell form of the row span, one row at a time in Python ints: every
+    row below the pivot is cleared by a multiple of it or, when the pivot
+    does not divide its entry, by an egcd pair step; then the pivot is
+    unit-scaled, the rows above are reduced and the annihilator row added."""
+    work = [[int(c) % k for c in row] for row in rows]
+    work = [row for row in work if any(row)]
+    r = 0
+    for c in range(width):
+        at = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if at is None:
+            continue
+        work[r], work[at] = work[at], work[r]
+        for i in range(r + 1, len(work)):
+            a, b = work[r][c], work[i][c]
+            if b % a == 0:
+                work[i] = [(x - (b // a) * y) % k for x, y in zip(work[i], work[r])]
+            else:
+                g, s, t = zmod.egcd(a, b)
+                work[r], work[i] = (
+                    [(s * y + t * x) % k for x, y in zip(work[i], work[r])],
+                    [((a // g) * x - (b // g) * y) % k for x, y in zip(work[i], work[r])],
+                )
+        u = zmod.unit_multiplier(work[r][c], k)
+        work[r] = [u * y % k for y in work[r]]
+        p = work[r][c]
+        for i in range(r):
+            q = work[i][c] // p
+            work[i] = [(x - q * y) % k for x, y in zip(work[i], work[r])]
+        extra = [(k // p) * y % k for y in work[r]]
+        if any(extra):
+            work.append(extra)
+        r += 1
+    return np.array(work[:r], dtype=np.int64).reshape(r, width)
 
 
 def reference_span_elements(h, k, width):

@@ -5,6 +5,7 @@ import gc
 import io
 import json
 import re
+import sys
 import weakref
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import altring
-from altring import analysis, fixtures, liemaps, ringio
+from altring import analysis, fixtures, liemaps, ringio, zmod
 from altring.cli import main
 from altring.liemaps import MapTable
 
@@ -203,6 +204,23 @@ class TestPeirce:
         )
         doc = json.loads(res.output)
         assert json.loads(json.dumps(doc)) == doc
+
+    def test_each_condition_subspace_is_computed_once(self, runner, files, monkeypatch):
+        """The verdicts and the JSON subspaces share one kernel per side."""
+        sides, kernel = [], zmod.kernel
+
+        def counting_kernel(mat, k):
+            caller = sys._getframe(1)
+            if caller.f_code.co_name == "condition_subspace":
+                sides.append(caller.f_locals["side"])
+            return kernel(mat, k)
+
+        monkeypatch.setattr(zmod, "kernel", counting_kernel)
+        res = runner.invoke(
+            main, ["peirce", files["example1"], "--idempotent", "e", "--format", "json"]
+        )
+        assert res.exit_code == 0, res.output
+        assert sorted(sides) == ["12", "21"]
 
 
 class TestVerifyMap:

@@ -67,6 +67,24 @@ def test_composite_modulus_against_dict_oracle():
     assert _all_verdicts(ring) == reference_primeness(ring)
 
 
+@pytest.mark.parametrize(
+    "name,k",
+    [
+        (name, k)
+        for name in sorted(fixtures.CATALOG)
+        for k in (4, 6, 8, 9, 10, 12)
+        if fixtures.build(name, k).size <= 20736
+    ],
+)
+def test_composite_modulus_scans_stop_early(name, k):
+    """At composite k no ring is prime: for the largest prime p | k,
+    (k/p)R * pR = 0, so all three scans fail by a = k/p."""
+    p = max(q for q in range(2, k + 1) if k % q == 0 and all(q % s for s in range(2, q)))
+    for v in _all_verdicts(fixtures.build(name, k)).values():
+        ok, (a, _), _ = v
+        assert not ok and 1 <= a <= k // p, v
+
+
 def _unit_line_tables(seed=1212):
     """Seeded rings with k in {4, 6, 8, 9, 12} and k**d <= 1296, two dense and
     two sparse tables per (k, d): moduli whose units move the leading

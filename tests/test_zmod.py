@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from altring import zmod
 
-from helpers import reference_span_elements
+from helpers import reference_howell, reference_span_elements
 
 MODULI = [2, 3, 4, 6, 8, 9, 12]
 
@@ -37,7 +37,7 @@ small_matrix = st.integers(2, 12).flatmap(
         st.lists(
             st.lists(st.integers(0, k - 1), min_size=3, max_size=3),
             min_size=1,
-            max_size=4,
+            max_size=8,
         ),
     )
 )
@@ -66,6 +66,19 @@ def test_howell_is_span_invariant(data, rng):
     if len(mangled) >= 2:
         mangled += [[(a + b) % k for a, b in zip(mangled[0], mangled[1])]]
     assert np.array_equal(h, zmod.howell(mangled, k, width=3))
+
+
+def test_howell_matches_row_by_row_reference():
+    """The array elimination gives the bytes of the row-at-a-time one on
+    wide, square and tall matrices, dense and sparse, at every k in 2..36."""
+    rng = np.random.default_rng(36)
+    for k in range(2, 37):
+        for _ in range(30):
+            m, n = rng.integers(0, 9), rng.integers(1, 7)
+            a = rng.integers(0, k, size=(m, n)) * (rng.random((m, n)) < rng.random())
+            got, expect = zmod.howell(a, k, width=n), reference_howell(a, k, n)
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), (k, a)
+            assert got.base is None  # its own buffer, not a view of the whole work
 
 
 @settings(max_examples=100, deadline=None)
@@ -104,9 +117,11 @@ def test_span_elements_enumerates_exactly(data):
 
 @pytest.mark.parametrize("k", MODULI)
 def test_kernel_matches_brute_force(k):
+    """Wide, square and tall: fewer equations than unknowns stop the
+    elimination early, more take the annihilator rows at composite k."""
     rng = np.random.default_rng(k)
-    for _ in range(8):
-        m = rng.integers(0, k, size=(3, 3))
+    for rows in [3] * 8 + [1, 2, 5] * 4:
+        m = rng.integers(0, k, size=(rows, 3))
         ker = zmod.kernel(m, k)
         brute = {
             v
