@@ -19,12 +19,13 @@ then the least basis y, the left alternative law before the right one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import zmod
-from .core import Element, RingSpec, Submodule
+from .core import _INT64_MAX, Element, RingSpec, Submodule
 
 
 @dataclass(frozen=True)
@@ -440,14 +441,19 @@ def ideal_generated(ring: RingSpec, a: Element) -> Submodule:
     return Submodule(ring, rows)
 
 
-def _least_annihilated(ring: RingSpec, partners, tag: str) -> Verdict:
-    """Verdict(False, (a, least nonzero of partners(a)), tag) at the least a
-    whose partners(a) is nonzero, None meaning a is already covered; else
-    Verdict(True).  Only a whose leading coefficient c divides k are visited:
-    otherwise u*c = gcd(c, k) < c for a unit u (zmod.unit_multiplier), and
-    u*a is smaller, with the same ideal and the same annihilators."""
+def _least_annihilated(
+    ring: RingSpec, partners, tag: str, start: int = 1, stop: int | None = None
+) -> Verdict:
+    """Verdict(False, (a, least nonzero of partners(a)), tag) at the least a in
+    [start, stop) (default: every nonzero a) whose partners(a) is nonzero,
+    None meaning a is already covered; else Verdict(True).  Only a whose
+    leading coefficient c divides k are visited: otherwise u*c = gcd(c, k) < c
+    for a unit u (zmod.unit_multiplier), and u*a is smaller, with the same
+    ideal and the same annihilators."""
     k, lead = ring.modulus, 1  # lead: the place value of a's leading digit
-    for a in range(1, ring.size):
+    while lead * k <= start:
+        lead *= k
+    for a in range(start, ring.size if stop is None else stop):
         if a == lead * k:
             lead = a
         if k % (a // lead):
@@ -456,6 +462,10 @@ def _least_annihilated(ring: RingSpec, partners, tag: str) -> Verdict:
         if ker is not None and not ker.is_zero():
             return Verdict(False, (ring.from_index(a), _least_nonzero(ker)), tag)
     return Verdict(True)
+
+
+def _is_prime(k: int) -> bool:
+    return k > 1 and all(k % p for p in range(2, math.isqrt(k) + 1))
 
 
 def is_prime_by_ideals(ring: RingSpec) -> Verdict:
@@ -468,6 +478,9 @@ def is_prime_by_ideals(ring: RingSpec) -> Verdict:
     its least nonzero element is the least partner, and no smaller element
     generates its ideal.  Witness: the least element pair (a, b) with
     ideal(a)*ideal(b) = 0.
+
+    At prime k with M(R) = End(R) (d**2 Howell rows), every nonzero a
+    generates R (Burnside), so the scan stops after a = 1.
     """
     d, mult = ring.dim, _multiplication_algebra(ring)
     seen: set[Submodule] = set()
@@ -481,7 +494,71 @@ def is_prime_by_ideals(ring: RingSpec) -> Verdict:
         rows = np.einsum("ri,ipl,spj->rslj", ideal.rows, ring.table, mult).reshape(-1, d)
         return Submodule(ring, zmod.kernel(rows, ring.modulus))
 
-    return _least_annihilated(ring, partners, "ideal-pair")
+    burnside = _is_prime(ring.modulus) and len(mult) == d * d
+    return _least_annihilated(ring, partners, "ideal-pair", stop=2 if burnside else None)
+
+
+# Most entries in one (d*d, d, chunk) stack of the batched rank test.
+_RANK_BLOCK = 1 << 18
+
+
+def _first_rank_deficient(stack: np.ndarray, k: int) -> int | None:
+    """Least i with rank(stack[:, :, i]) < d over the field Z/kZ (k prime), or
+    None.  ``stack`` is (m, d, b): b matrices of m >= d rows, batch last, so
+    each step is one contiguous array operation; it is reduced mod k and is
+    overwritten.
+
+    One fraction-free elimination runs on the whole stack, a column c at a
+    time: the first row with a nonzero entry p at c becomes the pivot, and
+    every later row takes row <- p*row - e*pivot (e its entry at c), reduced
+    only when the next step could leave int64.  A column with no pivot
+    leaves rank < d.
+    """
+    m, d, b = stack.shape
+    at = np.arange(b)
+    deficient = np.zeros(b, dtype=bool)
+    bound = k - 1  # on |entry| of the rows still to eliminate
+    for c in range(d):
+        col = stack[c:, c] % k
+        nonzero = col != 0
+        deficient |= ~nonzero.any(axis=0)
+        piv = nonzero.argmax(axis=0)
+        p = col[piv, at]
+        pivot = stack[c + piv, c + 1 :, at].T % k
+        stack[c + piv, c + 1 :, at] = stack[c, c + 1 :].T
+        col[piv, at] = col[0]
+        rest = stack[c + 1 :, c + 1 :]
+        if (k - 1) * (bound + k - 1) > _INT64_MAX:
+            rest %= k
+            bound = k - 1
+        rest *= p
+        rest -= col[1:, None] * pivot
+        bound = (k - 1) * (bound + k - 1)
+    hits = np.flatnonzero(deficient)
+    return int(hits[0]) if hits.size else None
+
+
+def _least_rank_deficient(ring: RingSpec, per_coeff: np.ndarray) -> int | None:
+    """At prime k, the least a with leading coefficient 1 whose M(a) has rank
+    < d, or None.  These a fill the index ranges [k**t, 2*k**t); the j-th of
+    them in index order is k**t + j - (k**t - 1)/(k - 1) for the t whose
+    range holds it.  They are taken in chunks of 1, 4, 16, ... of them, up
+    to about _RANK_BLOCK entries, so a scan that stops early stays short."""
+    k, d = ring.modulus, ring.dim
+    powers = k ** np.arange(d + 1, dtype=np.int64)
+    first = (powers - 1) // (k - 1)  # position of k**t among them
+    cap = max(1, _RANK_BLOCK // d**3)
+    lo, step = 0, 1
+    while lo < first[-1]:
+        j = np.arange(lo, min(lo + step, first[-1]))
+        t = np.searchsorted(first, j, side="right") - 1
+        a = powers[t] + j - first[t]
+        vectors = a[:, None] // ring.index_weights % k
+        hit = _first_rank_deficient((per_coeff.T @ vectors.T % k).reshape(d * d, d, -1), k)
+        if hit is not None:
+            return int(a[hit])
+        lo, step = lo + step, min(4 * step, cap)
+    return None
 
 
 def prime_criterion(ring: RingSpec, variant: str = "left") -> Verdict:
@@ -490,7 +567,9 @@ def prime_criterion(ring: RingSpec, variant: str = "left") -> Verdict:
 
     For fixed a the annihilating b form the kernel of M(a), which is linear
     in a: its row (j, l), column m is the l-th coefficient of (a*b_j)*b_m
-    (left) or a*(b_j*b_m) (right), read off one product tensor.  Witness:
+    (left) or a*(b_j*b_m) (right), read off one product tensor.  At prime k
+    that kernel is nonzero exactly when rank M(a) < d, so a batched rank test
+    finds the least such a and only its kernel is computed.  Witness:
     (a, least nonzero annihilating b).
     """
     if variant not in ("left", "right"):
@@ -502,7 +581,11 @@ def prime_criterion(ring: RingSpec, variant: str = "left") -> Verdict:
         m = (ring.from_index(a).vector() @ per_coeff) % k
         return Submodule(ring, zmod.kernel(m.reshape(-1, d), k))
 
-    return _least_annihilated(ring, annihilators, f"criterion-{variant}")
+    start = 1
+    if _is_prime(k):
+        a = _least_rank_deficient(ring, per_coeff)
+        start = ring.size if a is None else a
+    return _least_annihilated(ring, annihilators, f"criterion-{variant}", start=start)
 
 
 @dataclass

@@ -10,6 +10,7 @@ membership, kernels and intersections decidable for composite k.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -29,12 +30,17 @@ def egcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def unit_multiplier(a: int, k: int) -> int:
-    """A unit u mod k with u*a == gcd(a, k) (mod k).
+    """A unit u mod k with u*a == gcd(a, k) (mod k), memoised per (a mod k, k)."""
+    return _unit_multiplier(a % k, k)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _unit_multiplier(a: int, k: int) -> int:
+    """unit_multiplier for 0 <= a < k.
 
     Any lift u + t*(k/g) of the inverse of a/g mod k/g satisfies the
     congruence; at least one lift with t < g is a unit mod k.
     """
-    a %= k
     if a == 0:
         return 1
     g = math.gcd(a, k)

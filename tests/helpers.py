@@ -11,6 +11,7 @@ procedures, the Peirce layer as the package computed it with scalar
 ``Element`` products, ``reference_sum_table``, sums of element indices
 straight from the coefficient vectors, and ``reference_howell``, the
 row-at-a-time Howell elimination that ``zmod`` replaced with array steps.
+``rebased_copy`` makes isomorphic test inputs, not verdicts.
 """
 
 import itertools
@@ -19,7 +20,7 @@ import numpy as np
 
 from altring import analysis, zmod
 from altring.analysis import PeirceError, PeirceFrame, Verdict
-from altring.core import Submodule
+from altring.core import RingSpec, Submodule
 
 
 class BruteRing:
@@ -380,6 +381,26 @@ def reference_prime_scans(ring):
         "criterion_left": criterion("left"),
         "criterion_right": criterion("right"),
     }
+
+
+def rebased_copy(ring, seed):
+    """An isomorphic copy of ``ring`` in a seeded random basis: new basis
+    vector i is row i of P, a product of 3*d*d random transvections
+    row_i += c*row_j mod k, so P is invertible and P^-1 is tracked exactly.
+    Element witnesses move, every verdict stays."""
+    rng = np.random.default_rng(seed)
+    k, d = ring.modulus, ring.dim
+    p, pinv = np.eye(d, dtype=np.int64), np.eye(d, dtype=np.int64)
+    for _ in range(3 * d * d):
+        i, j = (int(x) for x in rng.integers(0, d, size=2))
+        if i != j:
+            c = int(rng.integers(1, k))
+            p[i] = (p[i] + c * p[j]) % k
+            pinv[:, j] = (pinv[:, j] - c * pinv[:, i]) % k
+    assert np.array_equal(p @ pinv % k, np.eye(d, dtype=np.int64))
+    # B_i * B_j in the old coordinates, then as rows of the new ones
+    table = np.einsum("ia,jb,abl->ijl", p, p, ring.table) % k @ pinv % k
+    return RingSpec(f"{ring.name}_r{seed}", k, [f"b{i}" for i in range(d)], table)
 
 
 def reference_howell(rows, k, width):

@@ -1,7 +1,9 @@
 """Primeness by ideals from the multiplication algebra: witness order and
 closures against the former fixpoint-and-pair-scan algorithm
 (helpers.reference_prime_by_ideals), the dict oracle on a composite-modulus
-ring, and exact results at the largest modulus RingSpec accepts."""
+ring, and exact results at the largest modulus RingSpec accepts.  At prime
+k: the stop after a = 1 when M(R) = End(R), and the batched rank test of the
+criteria, against zmod.kernel and the every-element scans."""
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from altring import analysis, fixtures, zmod
 from altring.core import RingSpec
 
 from helpers import (
+    rebased_copy,
     reference_ideal_closure,
     reference_prime_by_ideals,
     reference_prime_scans,
@@ -162,3 +165,118 @@ class TestLargestModulus:
         rows_b = self._closure(ring, b.coeffs).tolist()
         assert rows_a and rows_b
         assert all(self._mul(ring, x, y) == [0, 0] for x in rows_a for y in rows_b)
+
+
+def _full_mult_algebra(ring):
+    return len(analysis._multiplication_algebra(ring)) == ring.dim**2
+
+
+@pytest.mark.parametrize(
+    "name,k",
+    [
+        (name, k)
+        for name in sorted(fixtures.CATALOG)
+        for k in (2, 3, 5, 7)
+        if fixtures.build(name, k).size <= 2401
+    ],
+)
+def test_prime_modulus_matches_every_element_scan(name, k):
+    """Catalog rings at prime k, with and without M(R) = End(R)."""
+    ring = fixtures.build(name, k)
+    assert _all_verdicts(ring) == reference_prime_scans(ring)
+
+
+def test_burnside_stop_applies_to_the_simple_catalog_rings():
+    rings = [fixtures.zorn(2), fixtures.zorn(3), fixtures.matrix2(5), fixtures.matrix2(7)]
+    assert all(_full_mult_algebra(r) for r in rings)
+    assert not _full_mult_algebra(fixtures.build("matrix2_pair", 3))
+
+
+def _planted_stack(rng, k, d, count):
+    """(count, d*d, d) random matrices mod k, a few of them made rank-deficient
+    by a factor that kills one coordinate."""
+    stack = rng.integers(0, k, size=(count, d * d, d))
+    kill = np.diag([0] + [1] * (d - 1))
+    for i in rng.choice(count, size=3, replace=False):
+        stack[i] = stack[i] @ kill @ rng.integers(0, k, size=(d, d)) % k
+    return stack
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7, 3_000_017])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_batched_rank_matches_kernels(k, d):
+    """The least matrix of a stack with a nonzero zmod.kernel, or None.  At
+    k = 3 000 017 the unreduced entries would leave int64 from the second
+    column on, so the elimination reduces them first."""
+    rng = np.random.default_rng(k * 10 + d)
+    for trial in range(12):
+        stack = _planted_stack(rng, k, d, 20)
+        if trial % 3 == 0:  # no deficient member: only the random ones, if any
+            stack = rng.integers(0, k, size=(20, d * d, d))
+        want = next((i for i, m in enumerate(stack) if zmod.kernel(m, k).size), None)
+        got = analysis._first_rank_deficient(np.ascontiguousarray(stack.transpose(1, 2, 0)), k)
+        assert got == want, (trial, got, want)
+
+
+def _direct_sum(name, k):
+    if name == "zorn+matrix2":
+        return fixtures.direct_sum(fixtures.zorn(k), fixtures.matrix2(k))
+    return fixtures.build(name, k)
+
+
+_REBASED = [
+    ("matrix2_pair", 3, 8), ("triangular2", 5, 8), ("zorn+matrix2", 2, 4), ("example2", 5, 4)
+]
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_prime_modulus_witnesses_on_rebased_copies(block, monkeypatch):
+    """Seeded copies of prime-k rings that are not prime, whose witnesses a
+    go past 100; with a block, no chunk of the rank test holds more a."""
+    rings = [
+        rebased_copy(_direct_sum(name, k), seed)
+        for name, k, seeds in _REBASED
+        for seed in range(seeds)
+    ]
+    witnesses = []
+    for ring in rings:
+        if block is not None:
+            monkeypatch.setattr(analysis, "_RANK_BLOCK", block * ring.dim**3)
+        got = _all_verdicts(ring)
+        assert got == reference_prime_scans(ring), ring.name
+        witnesses += [w[0] for _, w, _ in got.values()]
+    assert max(witnesses) > 100 and sum(a > 30 for a in witnesses) >= 6
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "ring", [fixtures.zorn(2), fixtures.matrix2(7)], ids=["zorn_z2", "matrix2_z7"]
+)
+def test_prime_rings_take_one_ideal_and_no_criterion_kernel(ring, monkeypatch):
+    ideals = _counting(monkeypatch, analysis, "ideal_generated")
+    assert analysis.is_prime_by_ideals(ring).ok
+    assert len(ideals) == 1
+    kernels = _counting(monkeypatch, zmod, "kernel")
+    assert analysis.prime_criterion(ring, "left").ok
+    assert analysis.prime_criterion(ring, "right").ok
+    assert kernels == []
+
+
+def test_prime_modulus_non_prime_ring_takes_one_kernel_per_criterion(monkeypatch):
+    ring = rebased_copy(fixtures.build("matrix2_pair", 3), 0)
+    for variant in ("left", "right"):
+        kernels = _counting(monkeypatch, zmod, "kernel")
+        v = analysis.prime_criterion(ring, variant)
+        assert not v.ok and v.witness_indices()[0] > 30
+        assert len(kernels) == 1

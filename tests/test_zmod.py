@@ -198,6 +198,15 @@ def test_unit_multiplier_contract():
             assert (u * a) % k == math.gcd(a, k) % k
 
 
+def test_unit_multiplier_memo_matches_recomputation():
+    """The memoised values, for a in [-k, 2k) and every k in 2..36, equal a
+    fresh computation of the lift for a mod k."""
+    for k in range(2, 37):
+        for a in range(-k, 2 * k):
+            first, again = zmod.unit_multiplier(a, k), zmod.unit_multiplier(a, k)
+            assert first == again == zmod._unit_multiplier.__wrapped__(a % k, k), (a, k)
+
+
 def test_empty_and_zero_inputs():
     assert zmod.howell([], 5, width=4).shape == (0, 4)
     assert zmod.howell([[0, 0, 0]], 5).shape == (0, 3)
