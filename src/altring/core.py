@@ -189,14 +189,18 @@ class RingSpec:
             self._cache["elements"] = e
         return e
 
+    def require_index_tables(self) -> None:
+        """Refuse (ValueError) a ring too large for index tables."""
+        if self.size > INDEX_TABLE_LIMIT:
+            raise ValueError(
+                f"ring has {self.size} elements; index tables are limited "
+                f"to {INDEX_TABLE_LIMIT}"
+            )
+
     def _index_table(self, key: str, build) -> np.ndarray:
         t = self._cache.get(key)
         if t is None:
-            if self.size > INDEX_TABLE_LIMIT:
-                raise ValueError(
-                    f"ring has {self.size} elements; index tables are limited "
-                    f"to {INDEX_TABLE_LIMIT}"
-                )
+            self.require_index_tables()
             t = build()
             t.setflags(write=False)
             self._cache[key] = t

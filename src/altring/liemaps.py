@@ -5,6 +5,9 @@ basis images: a Lie multiplicative map need not be additive, so its basis
 images do not determine it.  Verifiers run over all argument tuples with the
 rings' cached bracket tables and ``RingSpec.add_indices``; every failure is
 the lex-least (x, y) of a mismatch mask built per row block, least first.
+Additivity is the exception: its verdicts come from the n residues
+phi(x) - sum_i x_i phi(b_i), and the n^2 defects are scanned only for the
+witnesses those verdicts say exist.
 The bracket is bilinear even where D is not, so both derivability laws read
 (x, y) only through ([x, y], [D(x), y] + [x, D(y)]) and are checked once per
 distinct pair.  The searcher enumerates value tables by backtracking with
@@ -227,20 +230,69 @@ class DefectReport:
         return additivity_defect(self.phi, a, b)
 
 
+def _central_mask(ring: RingSpec) -> np.ndarray:
+    """(n,) bool: is element i central?  Cached on the ring, as search-maps
+    grades hundreds of maps on one codomain."""
+    mask = ring._cache.get("central_mask")
+    if mask is None:
+        mask = np.zeros(ring.size, dtype=bool)
+        mask[analysis.centre(ring).elements_matrix() @ ring.index_weights] = True
+        mask.setflags(write=False)
+        ring._cache["central_mask"] = mask
+    return mask
+
+
 def check_almost_additive(phi: MapTable) -> DefectReport:
     """Is every additivity defect central in the codomain?
 
+    The verdicts come from n residues, not n^2 defects.  With b_i the
+    domain's basis and k1 its modulus, let r(x) = phi(x) - sum_i x_i phi(b_i),
+    x_i in [0, k1), summed in the codomain.  That sum is additive up to the
+    carries of the digit-wise sum a + b, so each defect is
+    r(a+b) - r(a) - r(b) - (sum of k1 phi(b_i) over the carried digits i).
+    Hence phi is additive iff every r(x) and every k1 phi(b_i) is zero
+    (additivity gives phi(x) = sum_i x_i phi(b_i) and k1 phi(b_i) = phi(0) = 0),
+    and almost additive iff they all lie in the centre: the same statement
+    for phi modulo the centre, a Z/k-submodule.
+
     Defects are graded against the codomain's centre (nucleus intersected
-    with the commutant), which is cached on the ring.  One pass over row
-    blocks finds the lex-least nonzero defect and the lex-least non-central
-    one, and stops at the latter: a non-central defect is nonzero, so the
-    sample never comes after it.
+    with the commutant), which is cached on the ring.  The row-block scan of
+    the defects only finds the witnesses that the verdicts say exist: the
+    lex-least nonzero defect and the lex-least non-central one.  An additive
+    map scans nothing.  Rings past ``INDEX_TABLE_LIMIT`` are refused first.
     """
     dom, cod = phi.domain, phi.codomain
+    dom.require_index_tables()
+    cod.require_index_tables()
     centre = analysis.centre(cod)
-    v, b = phi.values, np.arange(dom.size)
-    central = np.zeros(cod.size, dtype=bool)
-    central[centre.elements_matrix() @ cod.index_weights] = True
+    v, k, w, coeffs = phi.values, cod.modulus, cod.index_weights, cod.elements_matrix()
+    images = coeffs[v[dom.index_weights]]  # phi(b_i)
+    # r(x) for every x, then k1 phi(b_i) for every i, as codomain coefficient rows
+    residues = np.concatenate((coeffs[v] - dom.elements_matrix() @ images, dom.modulus * images)) % k
+    sample = witness = None
+    all_zero = all_central = not residues.any()
+    if not all_zero:
+        central = _central_mask(cod)
+        all_central = bool(central[residues @ w].all())
+        sample, witness = _defect_witnesses(phi, central, all_central)
+    return DefectReport(
+        phi=phi,
+        centre=centre,
+        all_zero=all_zero,
+        all_central=all_central,
+        witness=witness,
+        sample_nonzero=sample,
+    )
+
+
+def _defect_witnesses(phi: MapTable, central: np.ndarray, all_central: bool):
+    """(sample, witness) of a map that is not additive: the lex-least nonzero
+    defect and, unless ``all_central``, the lex-least non-central one, each as
+    (a, b, defect).  Row blocks are scanned in order up to the block that holds
+    the last one needed; a non-central defect is nonzero, so the sample never
+    comes after the witness.  Raises AssertionError where a scanned block
+    contradicts the residue verdicts."""
+    dom, cod, v = phi.domain, phi.codomain, phi.values
 
     def at(mask):  # (a, b, defect) at the first set entry of this block's mask
         hit = _first_set(mask)
@@ -249,23 +301,22 @@ def check_almost_additive(phi: MapTable) -> DefectReport:
         i, j = hit
         return dom.from_index(rows.start + i), dom.from_index(j), cod.from_index(int(defects[i, j]))
 
-    sample = witness = None
+    b, sample = np.arange(dom.size), None
     for rows in _row_blocks(dom.size):
         a = b[rows, None]  # phi(a+b) - phi(a) - phi(b)
         defects = cod.add_indices(cod.add_indices(v[dom.add_indices(a, b)], v[a], -1), v, -1)
         if sample is None:
             sample = at(defects != 0)
-        witness = at(~central[defects])
-        if witness is not None:
-            break
-    return DefectReport(
-        phi=phi,
-        centre=centre,
-        all_zero=sample is None,
-        all_central=witness is None,
-        witness=witness,
-        sample_nonzero=sample,
-    )
+        outside = ~central[defects]
+        if not all_central:
+            witness = at(outside)
+            if witness is not None:
+                return sample, witness
+        elif outside.any():
+            raise AssertionError("a defect is not central, yet every residue is")
+        elif sample is not None:
+            return sample, None
+    raise AssertionError("the residues show a defect that the scan did not find")
 
 
 def inner_lie_derivation(ring: RingSpec, x: Element) -> MapTable:

@@ -5,9 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altring import analysis, fixtures, liemaps
-from altring.core import INDEX_TABLE_LIMIT
+from altring.core import INDEX_TABLE_LIMIT, RingSpec
 from altring.liemaps import MapTable
 
 from helpers import BruteRing
@@ -63,6 +65,45 @@ def past_first_block():
     return MapTable(dom, cod, vals)
 
 
+def linear_map(dom, cod, images, planted=None):
+    """x -> sum_i x_i images[i] (x_i in [0, k1), summed in the codomain), plus
+    the planted residues {domain index: codomain element}."""
+    planted = planted or {}
+
+    def f(x):
+        value = sum((c * g for c, g in zip(x.coeffs, images)), cod.zero())
+        return value + planted.get(x.index, cod.zero())
+
+    return MapTable.from_callable(dom, cod, f)
+
+
+def plus_unity(ring):
+    """x -> x + 1: phi(0) = 1, so every defect is -1 and the sample is (0, 0)."""
+    unity = analysis.find_unity(ring)
+    return MapTable.from_callable(ring, ring, lambda x: x + unity)
+
+
+def reduction(dom, cod):
+    """Coefficients reduced from Z/k1 to Z/k2 (k2 | k1): additive across moduli."""
+    return MapTable.from_callable(dom, cod, lambda x: cod.element(x.coeffs))
+
+
+def last_digit_times_unity(dom, cod):
+    """x -> x_last * 1 from Z/2 into Z/4: every residue is zero, and the only
+    nonzero defects are 2 * 1 = k1 * phi(b_last), where the last digits carry."""
+    unity = analysis.find_unity(cod)
+    return MapTable.from_callable(dom, cod, lambda x: x.coeffs[-1] * unity)
+
+
+def late_residue(label):
+    """An additive linear map from zero9_z2 into matrix2_z4 plus one residue
+    (``label`` times 2) planted at index 400, beyond the first row block of
+    256 rows."""
+    dom, cod = fixtures.zero_ring(9, 2), fixtures.matrix2(4)
+    images = [2 * cod.basis_element(i % cod.dim) for i in range(dom.dim)]
+    return linear_map(dom, cod, images, {400: 2 * cod.parse_element(label)})
+
+
 DEFECT_CASES = {
     "identity": lambda: MapTable.identity(fixtures.matrix2(2)),
     "central_swap": lambda: central_swap(fixtures.matrix2(2)),
@@ -71,7 +112,55 @@ DEFECT_CASES = {
     "to_matrix2_z2": lambda: random_map(("matrix2", 2), 6),
     "to_triangular2_z3": lambda: random_map(("triangular2", 3), 6),
     "past_first_block": past_first_block,
+    "nonzero_at_origin": lambda: plus_unity(fixtures.matrix2(2)),
+    "reduce_z4_to_z2": lambda: reduction(fixtures.triangular2(4), fixtures.triangular2(2)),
+    "z2_to_z4_carries": lambda: last_digit_times_unity(fixtures.matrix2(2), fixtures.matrix2(4)),
+    "late_central_residue": lambda: late_residue("e11+e22"),
+    "late_noncentral_residue": lambda: late_residue("e12"),
 }
+
+
+def lex_order_scan(phi, centre):
+    """(sample, witness) of a scan of all pairs in lex order with
+    additivity_defect, stopped at the first non-central defect."""
+    central = {tuple(c) for c in centre.elements_matrix().tolist()}
+    elements = list(phi.domain.elements())
+    sample = None
+    for a, b in itertools.product(elements, repeat=2):
+        d = liemaps.additivity_defect(phi, a, b)
+        if sample is None and not d.is_zero():
+            sample = (a, b, d)
+        if d.coeffs not in central:
+            return sample, (a, b, d)
+    return sample, None
+
+
+def assert_report_matches_lex_order_scan(phi):
+    rep = liemaps.check_almost_additive(phi)
+    sample, witness = lex_order_scan(phi, rep.centre)
+    assert rep.all_zero == (sample is None)
+    assert rep.all_central == (witness is None)
+    assert rep.witness == witness
+    assert rep.sample_nonzero == sample
+    return rep
+
+
+SMALL_DOMAINS = [fixtures.build(*spec) for spec in
+                 (("triangular2", 2), ("matrix2", 2), ("zero3", 3), ("triangular2", 3))]
+SMALL_CODOMAINS = [fixtures.build(*spec) for spec in
+                   (("matrix2", 4), ("triangular2", 4), ("matrix2", 2), ("zero3", 2), ("example2", 3))]
+
+
+def add_index_sizes(monkeypatch) -> list[int]:
+    """Records the broadcast size of every RingSpec.add_indices call."""
+    sizes, add = [], RingSpec.add_indices
+
+    def counted(ring, x, y, sign=1):
+        sizes.append(np.broadcast(x, y).size)
+        return add(ring, x, y, sign)
+
+    monkeypatch.setattr(RingSpec, "add_indices", counted)
+    return sizes
 
 
 def conjugation(ring, g):
@@ -315,30 +404,78 @@ class TestDefects:
         with pytest.raises(ValueError, match="index tables are limited"):
             liemaps.check_almost_additive(MapTable.identity(ring))
 
+    def test_codomain_past_the_table_limit_refused_first(self):
+        """A codomain past the limit is refused before anything is computed
+        for it: not its centre, not its element matrix."""
+        dom, cod = fixtures.zero_ring(3, 2), fixtures.zero_ring(13, 2)
+        phi = MapTable(dom, cod, np.zeros(dom.size, dtype=np.int64))
+        with pytest.raises(ValueError, match="index tables are limited"):
+            liemaps.check_almost_additive(phi)
+        assert cod._cache == {}
+
     @pytest.mark.parametrize("case", sorted(DEFECT_CASES))
     def test_report_matches_lex_order_scan(self, case):
         """The flags and both witnesses equal those of a scan of all pairs in
         lex order with additivity_defect, stopped at the first non-central
         defect."""
-        phi = DEFECT_CASES[case]()
-        rep = liemaps.check_almost_additive(phi)
-        central = {tuple(c) for c in rep.centre.elements_matrix().tolist()}
-        elements = list(phi.domain.elements())
-        sample = witness = None
-        for a, b in itertools.product(elements, repeat=2):
-            d = liemaps.additivity_defect(phi, a, b)
-            if sample is None and not d.is_zero():
-                sample = (a, b, d)
-            if d.coeffs not in central:
-                witness = (a, b, d)
-                break
-        assert rep.all_zero == (sample is None)
-        assert rep.all_central == (witness is None)
-        assert rep.witness == witness
-        assert rep.sample_nonzero == sample
+        rep = assert_report_matches_lex_order_scan(DEFECT_CASES[case]())
         if case == "past_first_block":
             # rows of 512 entries, so the first block holds 256 of them
-            assert (sample[0].index, witness[0].index) == (1, 256)
+            assert (rep.sample_nonzero[0].index, rep.witness[0].index) == (1, 256)
+        if case == "nonzero_at_origin":
+            assert [x.index for x in rep.sample_nonzero[:2]] == [0, 0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_planted_residues_match_lex_order_scan(self, data):
+        """Linear maps (which are additive only where k1 kills every basis
+        image) plus a few planted residues, central or not."""
+        dom = data.draw(st.sampled_from(SMALL_DOMAINS))
+        cod = data.draw(st.sampled_from(SMALL_CODOMAINS))
+        index = st.integers(0, cod.size - 1)
+        images = [cod.from_index(i) for i in data.draw(st.lists(index, min_size=dom.dim, max_size=dom.dim))]
+        centre = analysis.centre(cod).elements_by_index()
+        value = st.sampled_from(centre) if data.draw(st.booleans()) else index.map(cod.from_index)
+        planted = data.draw(st.dictionaries(st.integers(0, dom.size - 1), value, max_size=3))
+        assert_report_matches_lex_order_scan(linear_map(dom, cod, images, planted))
+
+    def test_additive_maps_scan_nothing(self, monkeypatch):
+        """An additive map's report computes no (rows, n) block of defects:
+        no add_indices call has more than n entries."""
+        sizes = add_index_sizes(monkeypatch)
+        m7, m5 = fixtures.matrix2(7), fixtures.matrix2(5)
+        for phi in (MapTable.identity(m7), liemaps.inner_lie_derivation(m5, m5.parse_element("e12"))):
+            sizes.clear()
+            assert liemaps.check_almost_additive(phi).all_zero
+            assert max(sizes, default=0) <= phi.domain.size
+
+    def test_central_shift_stops_at_the_first_nonzero_block(self, monkeypatch):
+        """x -> x_0 * 1 from zero11_z2 into matrix2_z4, a central shift of the
+        zero map: defects are nonzero only where both leading digits are 1, so
+        the first is at (1024, 1024), in block 16 of 32.  The scan computes the
+        defects of blocks 0..16 (three add_indices calls each) and stops."""
+        dom, cod = fixtures.zero_ring(11, 2), fixtures.matrix2(4)
+        unity = analysis.find_unity(cod)
+        zero = MapTable(dom, cod, np.zeros(dom.size, dtype=np.int64))
+        phi = liemaps.central_shift(zero, {x: unity for x in dom.elements() if x.coeffs[0]})
+        blocks = list(liemaps._row_blocks(dom.size))
+        assert len(blocks) == 32 and blocks[16].start == 1024
+        sizes = add_index_sizes(monkeypatch)
+        rep = liemaps.check_almost_additive(phi)
+        assert not rep.all_zero and rep.all_central
+        assert [x.index for x in rep.sample_nonzero] == [1024, 1024, (2 * unity).index]
+        assert sum(size > dom.size for size in sizes) == 3 * 17
+
+    def test_scan_contradicting_the_verdicts_raises(self):
+        """The witness scan checks every block it computes against the residue
+        verdicts: a non-central defect under an all-central verdict, or no
+        defect at all under a not-additive one, raises."""
+        m2 = fixtures.matrix2(2)
+        central = liemaps._central_mask(m2)
+        with pytest.raises(AssertionError, match="not central"):
+            liemaps._defect_witnesses(noncentral_swap(m2), central, all_central=True)
+        with pytest.raises(AssertionError, match="did not find"):
+            liemaps._defect_witnesses(MapTable.identity(m2), central, all_central=False)
 
 
 def test_pairwise_scans_keep_no_table_sized_temporaries():
