@@ -271,11 +271,12 @@ def verify_map(files, kind, fmt, assertions, output):
 
     if kind != "lie" and domain != codomain:
         raise ToolError("derivable kinds need a self-map (domain == codomain)")
+    bijective = phi.is_bijective()
     # the verifiers refuse rings too large for their index tables
     try:
         if kind == "lie":
             verdict = liemaps.is_lie_multiplicative(phi)
-            eligible = verdict.ok and phi.is_bijective()
+            eligible = verdict.ok and bijective
         else:
             both = liemaps.derivable_report(phi)
             key = "lie_derivable" if kind == "lie-derivable" else "lie_triple_derivable"
@@ -289,7 +290,7 @@ def verify_map(files, kind, fmt, assertions, output):
         "map": {
             "domain": domain.name,
             "codomain": codomain.name,
-            "bijective": bool(phi.is_bijective()),
+            "bijective": bijective,
         },
         "kind": kind,
         "verdict": {key: val for key, val in verdict.to_doc().items() if key != "tag"},
@@ -314,7 +315,7 @@ def verify_map(files, kind, fmt, assertions, output):
         pretty = {"lie": "Lie multiplicative", "lie-derivable": "Lie derivable",
                   "lie-triple": "Lie triple derivable"}[kind]
         lines = [f"map {domain.name} -> {codomain.name} ({len(values)} values)"]
-        lines.append(_verdict_line("bijective", Verdict(phi.is_bijective())))
+        lines.append(_verdict_line("bijective", Verdict(bijective)))
         lines.append(_verdict_line(pretty, verdict))
         if kind == "lie-derivable":
             lines.append(_verdict_line("Lie triple derivable", both["lie_triple_derivable"]))

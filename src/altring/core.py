@@ -16,7 +16,8 @@ import numpy as np
 from . import zmod
 
 # n*n index tables are only materialised for rings up to this many elements;
-# everything bigger must stay on the basis-criterion code paths.
+# everything bigger must stay on the basis-criterion code paths.  The pairwise
+# tables hold element indices in uint16, which bounds any limit by n <= 65536.
 INDEX_TABLE_LIMIT = 4096
 
 # Every int64 computation stays below this: element indices reach k**d - 1, and
@@ -206,55 +207,84 @@ class RingSpec:
             self._cache[key] = t
         return t
 
-    def _pair_index_table(self, key: str, constants: np.ndarray) -> np.ndarray:
-        """(n, n) table: out[x, y] = index of A_x y mod k, with A_x the linear
-        map y -> sum_ij x_i y_j constants[i, j].
+    def _digit_sum_rows(self, x: np.ndarray, constants: np.ndarray) -> np.ndarray:
+        """(len(x), n) uint16: out[r, y] = index of A y mod k, with A the linear
+        map y -> sum_ij x[r, i] y_j constants[i, j] for coefficient rows x.
 
-        Row x is an outer sum over the digits of y, least significant first:
+        Row r is an outer sum over the digits of y, least significant first:
         each step adds the images of one digit's k values to every partial
         result, and one compare reduces a sum of two residues mod k.  Digits
         are uint8 (uint16 when 2(k-1) > 255; uint8 builds measured twice as
-        fast), indices are accumulated in uint16 (n <= INDEX_TABLE_LIMIT, so
-        n - 1 fits) with every product cast first, so no step depends on
-        NumPy's scalar promotion rules, and row blocks keep each (s, d, n)
-        digit array near 2**19 entries (larger blocks measured slower).
+        fast), indices are accumulated in uint16 (n - 1 fits, see
+        ``INDEX_TABLE_LIMIT``) with every product cast first, so no step
+        depends on NumPy's scalar promotion rules, and row blocks keep each
+        (s, d, n) digit array near 2**19 entries (larger blocks measured
+        slower).
+        """
+        d, k, n = self.dim, self.modulus, self.size
+        digit = np.uint8 if 2 * (k - 1) <= 255 else np.uint16
+        kk, index = digit(k), np.uint16
+        w = self.index_weights.astype(index)
+        steps = np.arange(k)
+        out = np.zeros((len(x), n), dtype=index)
+        step = max(1, (1 << 19) // (n * d))
+        for lo in range(0, len(x), step):
+            block = out[lo : lo + step]
+            s = len(block)
+            a = np.einsum("ai,ijl->alj", x[lo : lo + step], constants) % k
+            r = np.zeros((s, d, 1), dtype=digit)
+            for j in range(d - 1, -1, -1):
+                v = (a[:, :, j, None] * steps % k).astype(digit)
+                r = (v[:, :, :, None] + r[:, :, None, :]).reshape(s, d, -1)
+                r -= (r >= kk) * kk
+            for l in range(d):
+                block += r[:, l].astype(index) * w[l]
+        return out
+
+    def _pair_index_table(self, key: str, constants: np.ndarray) -> np.ndarray:
+        """(n, n) uint16 table: out[x, y] = index of A_x y mod k, with A_x the
+        linear map y -> sum_ij x_i y_j constants[i, j].
+
+        A_x is linear in x.  Split x = x_hi * m + x_lo at the h = ceil(d/2)
+        low digits, m = k**h, as ``add_indices`` does: then A_x y is the
+        digit-wise sum of A_(x_hi m) y and A_(x_lo) y.  Only the k**(d-h) + m
+        rows x_hi * m and x_lo are digit outer sums (``_digit_sum_rows``); each
+        block of m rows sharing x_hi is then two index sums and two gathers
+        from the half-digit table of ``add_indices``, each (m, n), written
+        straight into the uint16 table.  No int64 (n, n) array is made, and
+        the table takes 2 n**2 bytes, 32 MB at n = 4096.
         """
 
         def build():
-            e, d, k, n = self.elements_matrix(), self.dim, self.modulus, self.size
-            digit = np.uint8 if 2 * (k - 1) <= 255 else np.uint16
-            kk, index = digit(k), np.uint16
-            w = self.index_weights.astype(index)
-            steps = np.arange(k)
-            out = np.empty((n, n), dtype=np.int64)
-            step = max(1, (1 << 19) // (n * d))
-            for lo in range(0, n, step):
-                x = e[lo : lo + step]
-                s = len(x)
-                a, r = np.einsum("ai,ijl->alj", x, constants) % k, np.zeros((s, d, 1), dtype=digit)
-                for j in range(d - 1, -1, -1):
-                    v = (a[:, :, j, None] * steps % k).astype(digit)
-                    r = (v[:, :, :, None] + r[:, :, None, :]).reshape(s, d, -1)
-                    r -= (r >= kk) * kk
-                idx = np.zeros((s, n), dtype=index)
-                for l in range(d):
-                    idx += r[:, l].astype(index) * w[l]
-                out[lo : lo + step] = idx
+            e, n, m = self.elements_matrix(), self.size, self.modulus ** ((self.dim + 1) // 2)
+            low = self._digit_sum_rows(e[:m], constants)  # A_(x_lo), x_lo < m
+            if m == n:  # d = 1: no high digits, and no (n, n) half-digit table
+                return low
+            high = self._digit_sum_rows(e[::m], constants)  # A_(x_hi m)
+            _, half, (hi_row, hi, lo_row, lo) = self._half_digit_sums(1)
+            index = np.uint16
+            # the high digits of a sum are < n / m, so half * m stays below n
+            # wherever it is read; entries that wrap are never read
+            half_m, half = (half * m).astype(index), half.astype(index)
+            low_hi, low_lo = hi[low].astype(index), lo[low].astype(index)
+            out = np.empty((n, n), dtype=index)
+            for x_hi, a in enumerate(high):
+                block = out[x_hi * m : (x_hi + 1) * m]
+                np.take(half_m, hi_row[a] + low_hi, out=block)
+                block += np.take(half, lo_row[a] + low_lo)
             return out
 
         return self._index_table(key, build)
 
     def mul_index_table(self) -> np.ndarray:
-        """(n, n) table: mul[i, j] = index of element_i * element_j."""
+        """(n, n) uint16 table: mul[i, j] = index of element_i * element_j."""
         return self._pair_index_table("mul_idx", self.table)
 
-    def add_indices(self, x, y, sign: int = 1) -> np.ndarray:
-        """Indices of element_x + sign * element_y over broadcastable index
-        arrays.  An index is hi * m + lo, lo its low h = ceil(d/2) digits and
-        m = k**h: one (m, m) table of digit-wise x + sign * y mod k serves both
-        halves (hi has at most h digits).  Each sign caches it flat, then hi * m,
-        hi, lo * m and lo of every index (a divmod per call, or 2-D gathers,
-        measured up to twice as slow).  Only at d = 1 has it n**2 entries."""
+    def _half_digit_sums(self, sign: int):
+        """(m, half, (hi_row, hi, lo_row, lo)) for ``add_indices``: m = k**h
+        with h = ceil(d/2), the flat (m, m) table of digit-wise x + sign * y
+        mod k over h digits, and per index hi * m, hi, lo * m and lo, all int64
+        and cached per sign."""
         d, k, n = self.dim, self.modulus, self.size
         h = (d + 1) // 2
         m = k**h
@@ -271,7 +301,16 @@ class RingSpec:
             return t
 
         t = self._index_table(f"add{sign:+d}", build)
-        half, (hi_row, hi, lo_row, lo) = t[: m * m], t[m * m :].reshape(4, n)
+        return m, t[: m * m], t[m * m :].reshape(4, n)
+
+    def add_indices(self, x, y, sign: int = 1) -> np.ndarray:
+        """Indices of element_x + sign * element_y over broadcastable index
+        arrays.  An index is hi * m + lo, lo its low h = ceil(d/2) digits and
+        m = k**h: one (m, m) table of digit-wise x + sign * y mod k serves both
+        halves (hi has at most h digits).  Each sign caches it flat, then hi * m,
+        hi, lo * m and lo of every index (a divmod per call, or 2-D gathers,
+        measured up to twice as slow).  Only at d = 1 has it n**2 entries."""
+        m, half, (hi_row, hi, lo_row, lo) = self._half_digit_sums(sign)
         return half[hi_row[x] + hi[y]] * m + half[lo_row[x] + lo[y]]
 
     def commutator_index_table(self) -> np.ndarray:

@@ -59,10 +59,13 @@ class MapTable:
         return self.codomain.from_index(int(self.values[x.index]))
 
     def is_bijective(self) -> bool:
-        return (
-            self.domain.size == self.codomain.size
-            and len(np.unique(self.values)) == self.domain.size
-        )
+        """Equal sizes and every codomain element hit: a presence mask of the
+        values, no sort."""
+        if self.domain.size != self.codomain.size:
+            return False
+        hit = np.zeros(self.codomain.size, dtype=bool)
+        hit[self.values] = True
+        return bool(hit.all())
 
     def compose(self, inner: "MapTable") -> "MapTable":
         """self after inner: x -> self(inner(x))."""
@@ -116,10 +119,15 @@ def _verdict(witness, tag: str) -> Verdict:
 
 
 def is_lie_multiplicative(phi: MapTable) -> Verdict:
-    """phi([x, y]) == [phi(x), phi(y)] over all ordered pairs."""
+    """phi([x, y]) == [phi(x), phi(y)] over all ordered pairs.  Both sides are
+    uint16 gathers through flat views (np.take on the uint16 entries measured
+    twice as fast as 2-D indexing at n = 4096)."""
     cd, cc = phi.domain.commutator_index_table(), phi.codomain.commutator_index_table()
     v = phi.values
-    witness = _first_pair(phi.domain, lambda rows: v[cd[rows]] != cc[v[rows, None], v])
+    v16, v_row = v.astype(cd.dtype), v * phi.codomain.size  # phi(x) * n: row offsets into cc
+    witness = _first_pair(
+        phi.domain, lambda rows: np.take(v16, cd[rows]) != np.take(cc, v_row[rows, None] + v)
+    )
     return _verdict(witness, "lie-multiplicative")
 
 
@@ -133,20 +141,25 @@ def _leibniz_pairs(d: MapTable):
     ring, v = d.domain, d.values
     n, c = ring.size, ring.commutator_index_table()
 
-    def leibniz(rows):
+    def keys(rows):  # flat bitmap positions [x, y] * n + s[x, y] of a row block
         # [x, D(y)] = -[D(y), x], so both terms gather rows of c, never columns
-        # (the unblocked column gather measured 2.5-4x slower at n = 4096)
-        return ring.add_indices(c[v[rows]], c[v, rows].T, -1)
+        # (the unblocked column gather measured 2.5-4x slower at n = 4096);
+        # each uint16 block is cast to intp once, C-ordered (gathers through
+        # uint16 or transposed indices measured up to twice as slow)
+        x, y = c[v[rows]].astype(np.intp), c[v, rows].T.astype(np.intp, order="C")
+        key = ring.add_indices(x, y, -1)
+        key += np.multiply(c[rows], n, dtype=key.dtype)
+        return key
 
-    marked = np.zeros((n, n), dtype=bool)
+    marked = np.zeros(n * n, dtype=bool)
     for rows in _row_blocks(n):
-        marked[c[rows], leibniz(rows)] = True
+        marked[keys(rows)] = True
     p, q = np.divmod(np.flatnonzero(marked), n)
 
     def least(hit: np.ndarray) -> tuple[Element, Element] | None:
         marked[:] = False
-        marked[p[hit], q[hit]] = True
-        return _first_pair(ring, lambda rows: marked[c[rows], leibniz(rows)])
+        marked[p[hit] * n + q[hit]] = True
+        return _first_pair(ring, lambda rows: marked[keys(rows)])
 
     return p, q, least
 
@@ -173,11 +186,14 @@ def _lie_triple_derivable(d: MapTable, pairs) -> Verdict:
     first = np.ones(len(p), dtype=bool)
     first[1:] = p[1:] != p[:-1]
     rows, row_of = p[first], np.cumsum(first) - 1
+    row_at = rows[:, None] * n  # offsets of rows p in the flat table
     step = max(1, _TRIPLE_BLOCK // len(p))
     for lo in range(0, n, step):
         z = slice(lo, lo + step)
         # L[p, z] = D([p, z]) - [p, D(z)] for each distinct p; it must be [q, z]
-        lz = ring.add_indices(v[c[rows, z]], c[rows[:, None], v[z]], -1)
+        # (uint16 blocks cast to intp once; [p, D(z)] gathered from the flat table)
+        pz, p_dz = c[rows, z].astype(np.intp), np.take(c, row_at + v[z]).astype(np.intp)
+        lz = ring.add_indices(v[pz], p_dz, -1)
         bad = lz[row_of] != c[q, z]
         failing = bad.any(axis=0)
         if failing.any():
@@ -355,14 +371,18 @@ def central_shift(phi: MapTable, shift: dict) -> MapTable:
         raise ValueError("shift value outside the codomain")
     offsets = np.zeros(dom.size, dtype=np.int64)
     offsets[np.array([i for i, _ in entries], dtype=np.int64)] = vecs @ cod.index_weights
-    # a presence mask of the bracket table's values: unlike np.unique, no sort
-    is_bracket = np.zeros(dom.size, dtype=bool)
-    is_bracket[dom.commutator_index_table()] = True
-    shifted = np.flatnonzero(is_bracket & (offsets != 0))
-    if shifted.size:
+    # the least commutator value with a nonzero shift, from one gather of the
+    # shifted mask per row block of the bracket table (a presence mask of all
+    # its values measured up to 1.2x slower, and sorts more so)
+    c, shifted, least = dom.commutator_index_table(), offsets != 0, dom.size
+    for rows in _row_blocks(dom.size):
+        block = c[rows]
+        hit = np.take(shifted, block)
+        if hit.any():
+            least = min(least, int(block[hit].min()))
+    if least < dom.size:
         raise ValueError(
-            f"shift must vanish on commutator values; "
-            f"{dom.from_index(int(shifted[0])).label()} is one"
+            f"shift must vanish on commutator values; {dom.from_index(least).label()} is one"
         )
     return MapTable(dom, cod, cod.add_indices(phi.values, offsets))
 
