@@ -62,9 +62,17 @@ class PeirceError(ValueError):
 
 
 def _product_tensors(ring: RingSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(b_i*b_j)*b_l and b_i*(b_j*b_l) at [i, j, l], each shape (d, d, d, d)."""
-    t, k = ring.table, ring.modulus
-    return np.einsum("ijm,mlr->ijlr", t, t) % k, np.einsum("jlm,imr->ijlr", t, t) % k
+    """(b_i*b_j)*b_l and b_i*(b_j*b_l) at [i, j, l], each shape (d, d, d, d).
+    Read-only and cached on the ring: the identity checks, the nucleus and
+    both primeness criteria all read them."""
+    products = ring._cache.get("products")
+    if products is None:
+        t, k = ring.table, ring.modulus
+        products = np.einsum("ijm,mlr->ijlr", t, t) % k, np.einsum("jlm,imr->ijlr", t, t) % k
+        for a in products:
+            a.setflags(write=False)
+        ring._cache["products"] = products
+    return products
 
 
 def _associator_tensor(ring: RingSpec) -> np.ndarray:
@@ -249,8 +257,8 @@ def _squares(ring: RingSpec, e: np.ndarray) -> np.ndarray:
 _IDEMPOTENT_BLOCK = 1 << 18
 
 
-def idempotents(ring: RingSpec) -> list[Element]:
-    """All e with e*e = e, ascending by element index.
+def _idempotent_rows(ring: RingSpec) -> np.ndarray:
+    """Coefficient rows of all e with e*e = e, ascending by element index.
 
     Each x splits as u + v, u on the high h digits and v on the low m = d//2,
     so index(x) = index(u)*k**m + index(v) and
@@ -277,7 +285,43 @@ def idempotents(ring: RingSpec) -> list[Element]:
             keep = (su[iu, l] + sv[iv, l] + (a[iu, l] * low[iv]).sum(axis=1)) % k == 0
             iu, iv = iu[keep], iv[keep]
         hits.append(u[iu] + v[iv])
-    return [Element(ring, tuple(c)) for c in np.concatenate(hits).tolist()]
+    return np.concatenate(hits)
+
+
+def _prime_power_factors(k: int) -> list[int]:
+    """The powers of distinct primes whose product is k, by ascending prime."""
+    factors, p = [], 2
+    while p * p <= k:
+        if k % p == 0:
+            q = 1
+            while k % p == 0:
+                k, q = k // p, q * p
+            factors.append(q)
+        p += 1
+    return factors + [k] if k > 1 else factors
+
+
+def idempotents(ring: RingSpec) -> list[Element]:
+    """All e with e*e = e, ascending by element index.
+
+    Write k = q_1*...*q_r with the q_i powers of distinct primes.  Then the
+    ring is the product of the rings R/q_iR, whose tables are table mod q_i
+    in the same basis, so x is idempotent exactly when every x mod q_i is
+    (Chinese remainder theorem, coefficient by coefficient; no unity or
+    associativity is needed).  Each factor ring is scanned on its own
+    (``_idempotent_rows``), which covers sum q_i**d elements rather than
+    k**d, and the factor lists combine as x = sum c_i x_i mod k, with
+    c_i = 1 mod q_i and c_i = 0 mod k/q_i.  At a prime-power k the one
+    factor is the ring itself and c = 1.
+    """
+    d, k = ring.dim, ring.modulus
+    x = np.zeros((1, d), dtype=np.int64)
+    for q in _prime_power_factors(k):
+        factor = ring if q == k else RingSpec(ring.name, q, ring.basis_labels, ring.table % q)
+        c = k // q * pow(k // q, -1, q)
+        x = (x[:, None] + c * _idempotent_rows(factor)).reshape(-1, d) % k
+    x = x[np.argsort(x @ ring.index_weights)]
+    return [Element(ring, tuple(c)) for c in x.tolist()]
 
 
 def nontrivial_idempotents(ring: RingSpec) -> list[Element]:
@@ -483,16 +527,19 @@ def is_prime_by_ideals(ring: RingSpec) -> Verdict:
     generates R (Burnside), so the scan stops after a = 1.
     """
     d, mult = ring.dim, _multiplication_algebra(ring)
+    # row p, column (m, j): coefficient p of m b_j for a Howell row m of M(R)
+    mult_cols = mult.transpose(1, 0, 2).reshape(d, -1)
     seen: set[Submodule] = set()
     def partners(a: int) -> Submodule | None:
         ideal = ideal_generated(ring, ring.from_index(a))
         if ideal in seen:
             return None
         seen.add(ideal)
-        # row (i, m, l), column j: coefficient l of i*(m b_j) for a Howell row i
-        # of ideal(a); d**2 terms of at most (k-1)**3, the bound RingSpec accepts
-        rows = np.einsum("ri,ipl,spj->rslj", ideal.rows, ring.table, mult).reshape(-1, d)
-        return Submodule(ring, zmod.kernel(rows, ring.modulus))
+        # w[i, l, p]: coefficient l of i*b_p for a Howell row i of ideal(a)
+        w = np.einsum("ri,ipl->rlp", ideal.rows, ring.table) % ring.modulus
+        # row (i, m, l), column j: coefficient l of i*(m b_j); d terms of at most (k-1)**2
+        rows = (w.reshape(-1, d) @ mult_cols).reshape(len(w), d, -1, d).transpose(0, 2, 1, 3)
+        return Submodule(ring, zmod.kernel(rows.reshape(-1, d), ring.modulus))
 
     burnside = _is_prime(ring.modulus) and len(mult) == d * d
     return _least_annihilated(ring, partners, "ideal-pair", stop=2 if burnside else None)

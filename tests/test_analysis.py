@@ -21,6 +21,7 @@ from helpers import (
     reference_peirce_project,
     reference_peirce_relations,
     reference_primeness,
+    rebased_copy,
 )
 
 
@@ -330,6 +331,97 @@ class TestIdempotentScan:
         for ring, primeness in ((fixtures.zorn(3), False), (fixtures.matrix2(7), True)):
             analysis.analyze(ring, primeness=primeness)
             assert "elements" not in ring._cache, (ring.name, primeness)
+
+
+class TestIdempotentFactors:
+    """idempotents splits k into prime powers and scans each factor ring;
+    _idempotent_rows on the whole ring is the scan over every element."""
+
+    @staticmethod
+    def _rings():
+        """Catalog rings at k in {6, 10, 12} up to 3 million elements, k = 30
+        (three factors), and seeded rebased copies."""
+        rings = [
+            fx.instance(k)
+            for fx in fixtures.CATALOG.values()
+            for k in (6, 10, 12)
+            if k ** fx.instance().dim <= 3 * 10**6
+        ]
+        rings += [fixtures.build(name, 30) for name in ("triangular2", "matrix2")]
+        for seed in (1, 2, 3):
+            for name, k in (("matrix2_pair", 6), ("zorn", 6), ("example2", 6), ("matrix2", 10),
+                            ("triangular2", 12)):
+                rings.append(rebased_copy(fixtures.build(name, k), seed))
+        return rings
+
+    def test_matches_whole_ring_scan_in_order(self):
+        rings = self._rings()
+        for ring in rings:
+            rows = analysis._idempotent_rows(ring)
+            idem = analysis.idempotents(ring)
+            assert [e.coeffs for e in idem] == [tuple(r) for r in rows.tolist()], ring.name
+        assert len(rings) >= 30
+
+    def test_scan_and_factors_match_brute_force(self):
+        # example2 and the zero ring have no unity
+        rings = [fixtures.example2(6), fixtures.zero_ring(3, 6), fixtures.matrix2(6),
+                 fixtures.triangular2(10), fixtures.triangular2(30), fixtures.matrix2(12),
+                 rebased_copy(fixtures.example2(6), 4)]
+        for ring in rings:
+            expected = BruteRing(ring).idempotents()
+            assert [e.index for e in analysis.idempotents(ring)] == expected, ring.name
+            rows = analysis._idempotent_rows(ring)
+            assert (rows @ ring.index_weights).tolist() == expected, ring.name
+
+    def test_one_scan_per_prime_power_factor(self, monkeypatch):
+        scanned = []
+        scan = analysis._idempotent_rows
+
+        def spy(ring):
+            scanned.append(ring)
+            return scan(ring)
+
+        monkeypatch.setattr(analysis, "_idempotent_rows", spy)
+        for k in (4, 8, 9):
+            ring = fixtures.matrix2(k)
+            scanned.clear()
+            analysis.idempotents(ring)
+            assert len(scanned) == 1 and scanned[0] is ring, k
+        for k, factors in ((6, [2, 3]), (12, [4, 3]), (30, [2, 3, 5])):
+            ring = fixtures.triangular2(k)
+            scanned.clear()
+            analysis.idempotents(ring)
+            assert [r.modulus for r in scanned] == factors, k
+            assert all(np.array_equal(r.table, ring.table % r.modulus) for r in scanned), k
+
+    def test_matrix2_pair_z10(self):
+        idem = analysis.idempotents(fixtures.build("matrix2_pair", 10))
+        assert len(idem) == 65536
+        assert idem[3].index == 6 and idem[-1].index == 99229922
+
+
+class TestProductTensors:
+    def test_built_once_per_analyze(self, monkeypatch):
+        calls = []
+        einsum = np.einsum
+
+        def spy(subscripts, *operands, **kwargs):
+            calls.append(subscripts)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        for ring in (fixtures.zorn(2), rebased_copy(fixtures.matrix2(6), 1)):
+            calls.clear()
+            analysis.analyze(ring)
+            assert calls.count("ijm,mlr->ijlr") == 1 and calls.count("jlm,imr->ijlr") == 1
+
+    def test_cached_arrays_are_read_only(self):
+        ring = fixtures.example2(3)
+        outer, inner = analysis._product_tensors(ring)
+        assert analysis._product_tensors(ring)[0] is outer
+        for a in (outer, inner):
+            with pytest.raises(ValueError):
+                a[0, 0, 0, 0] = 1
 
 
 class TestPeirce:

@@ -22,7 +22,7 @@ def distinct_pairs(ring, vals):
     """Number of distinct ([x, y], [D(x), y] + [x, D(y)]) over all (x, y)."""
     c, a = ring.commutator_index_table(), reference_sum_table(ring)
     s = a[c[vals, :], c[:, vals]]
-    return len(np.unique(c * ring.size + s))
+    return len(np.unique(c.astype(np.int64) * ring.size + s))
 
 
 def verdict_triple(ring, vals):
@@ -71,6 +71,16 @@ def test_many_distinct_pairs():
         seen.append(distinct_pairs(ring, vals))
         assert verdict_triple(ring, vals) == reference_triple_derivable(ring, vals)
     assert min(seen) > 10 * n
+
+
+def test_distinct_pairs_past_256_elements():
+    """On 625 elements [x, y] * n leaves uint16; the count is that of a set
+    of Python pairs."""
+    ring = fixtures.build("matrix2", 5)
+    vals = np.random.default_rng(1).integers(0, ring.size, size=ring.size)
+    c, a = ring.commutator_index_table(), reference_sum_table(ring)
+    s = a[c[vals, :], c[:, vals]]
+    assert distinct_pairs(ring, vals) == len(set(zip(c.ravel().tolist(), s.ravel().tolist())))
 
 
 def test_first_failure_beyond_first_block(monkeypatch):
