@@ -1,18 +1,21 @@
 """Map predicates, additivity defects, central shifts, the bijection search."""
 
+import hashlib
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altring import analysis, fixtures, liemaps
+from altring import analysis, cli, fixtures, liemaps, ringio
 from altring.core import INDEX_TABLE_LIMIT, RingSpec
 from altring.liemaps import MapTable
 
-from helpers import BruteRing
+from helpers import BruteRing, rebased_copy
 
 
 @pytest.fixture(scope="module")
@@ -477,6 +480,29 @@ class TestDefects:
         with pytest.raises(AssertionError, match="did not find"):
             liemaps._defect_witnesses(MapTable.identity(m2), central, all_central=False)
 
+    def test_witnesses_scanned_on_first_read_only(self, monkeypatch, tmp_path):
+        """The flags need no scan of the defects: the witnesses are scanned
+        when first read, once for both.  search-maps reads only the flags,
+        so its 336 maps that are not additive scan nothing; verify-map
+        prints the sample, so it scans."""
+        calls = []
+        scan = liemaps._defect_witnesses
+        monkeypatch.setattr(liemaps, "_defect_witnesses", lambda *a: calls.append(a) or scan(*a))
+        m2 = fixtures.matrix2(2)
+        rep = liemaps.check_almost_additive(noncentral_swap(m2))
+        assert (rep.all_zero, rep.all_central, len(calls)) == (False, False, 0)
+        assert rep.witness is not None and rep.sample_nonzero is not None
+        assert len(calls) == 1
+        ring, swap = tmp_path / "m2.json", tmp_path / "swap.json"
+        ring.write_text(ringio.dumps_ring(m2))
+        swap.write_text(ringio.dumps_map(central_swap(m2).values, m2, m2))
+        runner = CliRunner()
+        search = runner.invoke(cli.main, ["search-maps", str(ring), "--format", "json"])
+        assert search.exit_code == 0 and len(calls) == 1
+        verify = runner.invoke(cli.main, ["verify-map", str(ring), str(swap), "--format", "json"])
+        assert verify.exit_code == 0 and len(calls) == 2
+        assert json.loads(verify.output)["defect_sample"]["central"] is True
+
 
 def test_pairwise_scans_keep_no_table_sized_temporaries():
     """With the bracket table built, the Lie multiplicative check and the
@@ -617,10 +643,68 @@ class TestSearch:
         res = liemaps.search_lie_multiplicative_bijections(a)
         assert res.complete and len(res.maps) == 2  # permutations of {1, 2}
 
+    def test_cross_ring_searches_match_permutation_filter(self, t2):
+        """Searches between triangular2_z2 and other rings of 8 elements, both
+        ways, against every permutation p of the 8 elements with
+        p([u, w]) = [p(u), p(w)]: p[cd] == cc[p[:, None], p[None, :]].  The
+        other rings are seeded random 3-dimensional Z2 rings (two of the 40
+        have such maps) and rebased copies of triangular2_z2 (all have)."""
+        perms = np.array(list(itertools.permutations(range(8))), dtype=np.int8)
+        rands = [RingSpec(f"rand{seed}", 2, ("a", "b", "c"),
+                          np.random.default_rng(seed).integers(0, 2, size=(3, 3, 3)))
+                 for seed in range(40)]
+        counts = []
+        for other in rands + [rebased_copy(t2, seed) for seed in range(3)]:
+            for dom, cod in ((t2, other), (other, t2)):
+                res = liemaps.search_lie_multiplicative_bijections(dom, cod)
+                assert res.complete
+                cd, cc = dom.commutator_index_table(), cod.commutator_index_table()
+                keep = (perms[:, cd] == cc[perms[:, :, None], perms[:, None, :]]).all(axis=(1, 2))
+                assert [tuple(m.values.tolist()) for m in res.maps] == [tuple(p) for p in perms[keep].tolist()]
+                assert res.nodes == prefix_search_nodes(perms[perms[:, 0] == 0], cd, cc)
+            counts.append(len(res.maps))
+        assert sum(map(bool, counts[:40])) == 2 and all(counts[40:])
+
+    def test_each_bracket_checked_once_at_its_depth(self):
+        """Depth m holds the (u, w, [u, w]) with max(u, w, [u, w]) = m, in
+        (u, w) order, and every ordered pair is at exactly one depth, also
+        past the widths where the sorted block doubles (64, 128 and 256 on
+        the 256 elements of zorn_z2; 64 and 81 on matrix2_z3)."""
+        for ring in (fixtures.zorn(2), fixtures.matrix2(3)):
+            cd = ring.commutator_index_table()
+            n = ring.size
+            depths = list(liemaps._depth_checks(cd))
+            assert len(depths) == n
+            seen = np.zeros((n, n), dtype=int)
+            for m, (u, w, c) in enumerate(depths):
+                u, w, c = (np.array(x, dtype=np.int64) for x in (u, w, c))
+                assert np.array_equal(c, cd[u, w])
+                assert (np.maximum(np.maximum(u, w), c) == m).all()
+                assert (np.diff(u * n + w) > 0).all()
+                seen[u, w] += 1
+            assert (seen == 1).all()
+
+    def test_budgeted_search_sorts_no_whole_table(self):
+        """With the 4096-element bracket table of matrix2_z8 cached, one node
+        needs only the first 64 x 64 block: the search peaks far below one
+        (n, n) table (32 MB in uint16)."""
+        ring = fixtures.matrix2(8)
+        ring.commutator_index_table()
+        tracemalloc.start()
+        try:
+            res = liemaps.search_lie_multiplicative_bijections(ring, budget=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.nodes, res.complete, len(res.maps)) == (1, False, 0)
+        assert peak < 8 * 2**20, peak
+
     def test_random_8_element_rings_match_permutation_filter(self):
         """Random rings of 8 elements over Z2 and of 9 elements over Z3.  Over
-        Z2 the bracket is symmetric, so the search's column check repeats its
-        row check; over Z3 the column check is what rejects some candidates."""
+        Z2 the bracket is symmetric, so (u, w) and (w, u) are checked at the
+        same depth with the same outcome; over Z3 they differ.  The node
+        count must equal that of a search over every prefix
+        (``prefix_search_nodes``)."""
         rng = np.random.default_rng(42)
         done = 0
         while done < 4:
@@ -648,6 +732,64 @@ class TestSearch:
             keep = (perms[:, cd] == cd[perms[:, :, None], perms[:, None, :]]).all(axis=(1, 2))
             brute = {tuple(p) for p in perms[keep].tolist()}
             assert {tuple(m.values.tolist()) for m in res.maps} == brute, ring.name
+            assert res.nodes == prefix_search_nodes(perms, cd, cd), ring.name
+
+
+def prefix_search_nodes(perms, cd, cc) -> int:
+    """Nodes of a search from cd's ring into cc's that assigns images in index
+    order with phi(0) = 0 and tries each unused image at depth m after every
+    prefix of m images keeping the bracket constraints among indices below m:
+    the sum over m of (such prefixes) x (n - m).  ``perms`` holds every
+    permutation that fixes 0."""
+    n = len(cd)
+    holds = perms[:, cd] == cc[perms[:, :, None], perms[:, None, :]]
+    i = np.arange(n)
+    top = np.maximum(np.maximum(i[:, None], i), cd)  # max(u, w, [u, w])
+    return sum(len(np.unique(perms[holds[:, top < m].all(axis=1), :m], axis=0)) * (n - m)
+               for m in range(1, n))
+
+
+def value_tables_sha256(maps) -> str:
+    """sha256 of the value tables in order, each as little-endian int64."""
+    digest = hashlib.sha256()
+    for m in maps:
+        digest.update(np.asarray(m.values, dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
+# (ring, modulus, budget): nodes, complete, count, additive, almost additive,
+# sha256 of the value tables in order; recorded from the search that checked
+# each constraint by a row loop, a column loop and a reverse index
+SEARCH_PINS = {
+    ("matrix2", 2, None): (19641, True, 384, 48, 384,
+                           "32a8f4fc9ea49740d2d6b5e0af0ce8a21a61a2fc5f476d9d758a468a92ded604"),
+    ("triangular2", 2, None): (149, True, 8, 4, 8,
+                               "0bf2733fd7d45aed23b554ca7393e28b0379d3d043d57d6e2644607e530109ef"),
+    ("triangular2", 3, 2000): (2000, False, 36, 1, 36,
+                               "822449517ee2bdb83801e85e080f09c5eafb2c3e09833e35f162e573d91617a6"),
+    ("triangular2", 4, 2000): (2000, False, 13, 1, 13,
+                               "d658d60b72ce464a724544f018cf3a3dcb897706981b7e1883fefd533ec30bea"),
+    ("example1", 2, 2000): (2000, False, 205, 1, 205,
+                            "313715b5950b26defda53a34d0b0abf0767fbee91da74da0b9df6a661e6fc2ba"),
+    ("zorn", 2, 5000): (5000, False, 1, 1, 1,
+                        "bbd330b12e8159e117376ef24fa106413bc9fc18032a0d43e95c5dae5e47953f"),
+    ("matrix2", 5, 5000): (5000, False, 1, 1, 1,
+                           "00e8934acf30e378fed47a04200363e3dbe0eb56695e801b5e3c6ee400d6be8e"),
+    ("matrix2", 7, 1500): (1500, False, 0, 0, 0,
+                           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("case", SEARCH_PINS, ids=lambda c: f"{c[0]}_z{c[1]}-{c[2]}")
+def test_search_results_pinned(case):
+    """Nodes, maps in order and their additivity grades are those of the
+    earlier search on every benchmark search ring and on two deep ones."""
+    name, k, budget = case
+    res = liemaps.search_lie_multiplicative_bijections(fixtures.build(name, k), budget=budget)
+    reports = [liemaps.check_almost_additive(m) for m in res.maps]
+    got = (res.nodes, res.complete, len(res.maps), sum(r.all_zero for r in reports),
+           sum(r.all_central for r in reports), value_tables_sha256(res.maps))
+    assert got == SEARCH_PINS[case]
 
 
 class TestMapHygiene:
