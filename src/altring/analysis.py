@@ -201,7 +201,7 @@ def centre(ring: RingSpec) -> Submodule:
 def _least_nonzero(sub: Submodule) -> Element:
     """Least nonzero element of a nonzero submodule in element-index order."""
     # Howell pivots increase and rows pivoting at >= c span all elements leading there.
-    return sub.basis()[-1]
+    return sub.ring.element(sub.rows[-1])
 
 
 def is_k_torsion_free(ring: RingSpec, k: int) -> Verdict:
@@ -301,8 +301,8 @@ def _prime_power_factors(k: int) -> list[int]:
     return factors + [k] if k > 1 else factors
 
 
-def idempotents(ring: RingSpec) -> list[Element]:
-    """All e with e*e = e, ascending by element index.
+def idempotents(ring: RingSpec) -> np.ndarray:
+    """Element indices of all e with e*e = e, as an ascending 1-D int64 array.
 
     Write k = q_1*...*q_r with the q_i powers of distinct primes.  Then the
     ring is the product of the rings R/q_iR, whose tables are table mod q_i
@@ -320,16 +320,14 @@ def idempotents(ring: RingSpec) -> list[Element]:
         factor = ring if q == k else RingSpec(ring.name, q, ring.basis_labels, ring.table % q)
         c = k // q * pow(k // q, -1, q)
         x = (x[:, None] + c * _idempotent_rows(factor)).reshape(-1, d) % k
-    x = x[np.argsort(x @ ring.index_weights)]
-    return [Element(ring, tuple(c)) for c in x.tolist()]
+    return np.sort(x @ ring.index_weights)
 
 
-def nontrivial_idempotents(ring: RingSpec) -> list[Element]:
-    """Nonzero idempotents distinct from the unity (when one exists)."""
-    unity = find_unity(ring)
-    return [
-        e for e in idempotents(ring) if not e.is_zero() and (unity is None or e != unity)
-    ]
+def nontrivial_idempotents(ring: RingSpec) -> np.ndarray:
+    """Ascending element indices of the idempotents other than 0 and the
+    unity (when one exists)."""
+    idem, unity = idempotents(ring), find_unity(ring)
+    return idem[~np.isin(idem, [0] if unity is None else [0, unity.index])]
 
 
 def _peirce_projections(
@@ -648,7 +646,7 @@ class AnalysisReport:
     commutant: Submodule
     centre: Submodule
     unity: Element | None
-    idempotents: list[Element]
+    idempotents: np.ndarray  # ascending element indices, int64
     torsion_free: dict[int, Verdict]
     prime_by_ideals: Verdict | None
     prime_criterion_left: Verdict | None
@@ -692,7 +690,7 @@ class AnalysisReport:
             "commutant": self.commutant.rows.tolist(),
             "centre": self.centre.rows.tolist(),
             "unity": None if self.unity is None else int(self.unity.index),
-            "idempotents": [int(e.index) for e in self.idempotents],
+            "idempotents": self.idempotents.tolist(),
             "torsion_free": {
                 str(k): v.to_doc() for k, v in sorted(self.torsion_free.items())
             },

@@ -173,7 +173,7 @@ def analyze(ring_file, torsion, skip_primeness, fmt, assertions, output):
         lines.append(f"{'centre':<22} {_rows_text(doc['centre'])}")
         unity = "none" if report.unity is None else report.unity.label()
         lines.append(f"{'unity':<22} {unity}")
-        idem = ", ".join(e.label() for e in report.idempotents[:12])
+        idem = ", ".join(ring.from_index(i).label() for i in doc["idempotents"][:12])
         more = "" if len(report.idempotents) <= 12 else f" (+{len(report.idempotents) - 12} more)"
         lines.append(f"{'idempotents':<22} {idem}{more}")
         for k, v in sorted(report.torsion_free.items()):

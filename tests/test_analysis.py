@@ -3,6 +3,7 @@ conditions, primeness.  Expected values were frozen from the brute-force
 oracles in helpers.py; the oracles re-run here on the small fixtures."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -254,9 +255,10 @@ class TestUnityAndIdempotents:
         unity = analysis.find_unity(m2)
         assert unity == m2.parse_element("e11+e22")
         idem = analysis.idempotents(m2)
-        labels = {e.label() for e in idem}
+        elems = [m2.from_index(int(i)) for i in idem]
+        labels = {e.label() for e in elems}
         assert {"0", "e11", "e22", "e11+e22"} <= labels
-        assert all(e * e == e for e in idem)
+        assert all(e * e == e for e in elems)
         # brute force count agreement
         br = BruteRing(m2)
         count = sum(1 for x in br.elements if br.mul(x, x) == x)
@@ -265,17 +267,17 @@ class TestUnityAndIdempotents:
     def test_example2_idempotent_no_unity(self, ex2):
         assert analysis.find_unity(ex2) is None
         e = ex2.parse_element("e")
-        assert e in analysis.idempotents(ex2)
+        assert e.index in analysis.idempotents(ex2)
 
     def test_zero_ring(self):
         z = fixtures.zero_ring()
         assert analysis.find_unity(z) is None
-        assert analysis.idempotents(z) == [z.zero()]
+        assert analysis.idempotents(z).tolist() == [z.zero().index]
 
     def test_nontrivial_excludes_unity(self, m2):
         non = analysis.nontrivial_idempotents(m2)
-        assert analysis.find_unity(m2) not in non
-        assert m2.zero() not in non
+        assert analysis.find_unity(m2).index not in non
+        assert m2.zero().index not in non
 
 
 def _idempotent_tables(seed=1111):
@@ -301,7 +303,7 @@ class TestIdempotentScan:
 
     @staticmethod
     def _indices(ring):
-        return [e.index for e in analysis.idempotents(ring)]
+        return analysis.idempotents(ring).tolist()
 
     def test_catalog_rings(self):
         checked = 0
@@ -359,7 +361,7 @@ class TestIdempotentFactors:
         for ring in rings:
             rows = analysis._idempotent_rows(ring)
             idem = analysis.idempotents(ring)
-            assert [e.coeffs for e in idem] == [tuple(r) for r in rows.tolist()], ring.name
+            assert idem.tolist() == (rows @ ring.index_weights).tolist(), ring.name
         assert len(rings) >= 30
 
     def test_scan_and_factors_match_brute_force(self):
@@ -368,10 +370,24 @@ class TestIdempotentFactors:
                  fixtures.triangular2(10), fixtures.triangular2(30), fixtures.matrix2(12),
                  rebased_copy(fixtures.example2(6), 4)]
         for ring in rings:
-            expected = BruteRing(ring).idempotents()
-            assert [e.index for e in analysis.idempotents(ring)] == expected, ring.name
+            br = BruteRing(ring)
+            expected = br.idempotents()
             rows = analysis._idempotent_rows(ring)
             assert (rows @ ring.index_weights).tolist() == expected, ring.name
+            # the unity, if any, is the element fixing every basis element on both sides
+            basis = [tuple(int(i == j) for j in range(ring.dim)) for i in range(ring.dim)]
+            unities = [
+                br.index(u)
+                for u in br.elements
+                if all(br.mul(u, b) == b == br.mul(b, u) for b in basis)
+            ]
+            nontrivial = [i for i in expected if i != 0 and i not in unities]
+            for got, want in ((analysis.idempotents(ring), expected),
+                              (analysis.nontrivial_idempotents(ring), nontrivial)):
+                assert got.dtype == np.int64 and got.ndim == 1, ring.name
+                assert (np.diff(got) > 0).all() and got.tolist() == want, ring.name
+            doc = analysis.analyze(ring, primeness=False).to_dict()
+            assert json.loads(json.dumps(doc))["idempotents"] == expected, ring.name
 
     def test_one_scan_per_prime_power_factor(self, monkeypatch):
         scanned = []
@@ -397,7 +413,7 @@ class TestIdempotentFactors:
     def test_matrix2_pair_z10(self):
         idem = analysis.idempotents(fixtures.build("matrix2_pair", 10))
         assert len(idem) == 65536
-        assert idem[3].index == 6 and idem[-1].index == 99229922
+        assert idem[3] == 6 and idem[-1] == 99229922
 
 
 class TestProductTensors:
@@ -533,7 +549,8 @@ def _peirce_cases():
         for k in range(2, 10):
             ring = fixtures.build(name, k)
             if ring.size <= 256:
-                cases += [(ring, e) for e in analysis.nontrivial_idempotents(ring)]
+                cases += [(ring, ring.from_index(int(i)))
+                          for i in analysis.nontrivial_idempotents(ring)]
     return cases
 
 
