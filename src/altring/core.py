@@ -220,8 +220,21 @@ class RingSpec:
         depends on NumPy's scalar promotion rules, and row blocks keep each
         (s, d, n) digit array near 2**19 entries (larger blocks measured
         slower).
+
+        Over Z/2 a digit-wise sum of indices is their XOR, so each row doubles
+        over the digits of y instead: with w the weight of digit j, the rows
+        y = w..2w-1 are y - w, of lower digits only, plus b_j, and
+        ``row[w:2w] = row[:w] ^ index(A b_j)``.
         """
         d, k, n = self.dim, self.modulus, self.size
+        if k == 2:
+            a = np.einsum("ai,ijl->ajl", x, constants) % 2  # a[r, j] = A b_j, every row
+            images = (a @ self.index_weights).astype(np.uint16)
+            out = np.zeros((len(x), n), dtype=np.uint16)
+            for j in range(d - 1, -1, -1):
+                w = 1 << (d - 1 - j)
+                np.bitwise_xor(out[:, :w], images[:, j, None], out=out[:, w : 2 * w])
+            return out
         digit = np.uint8 if 2 * (k - 1) <= 255 else np.uint16
         kk, index = digit(k), np.uint16
         w = self.index_weights.astype(index)
@@ -251,8 +264,10 @@ class RingSpec:
         rows x_hi * m and x_lo are digit outer sums (``_digit_sum_rows``); each
         block of m rows sharing x_hi is then two index sums and two gathers
         from the half-digit table of ``add_indices``, each (m, n), written
-        straight into the uint16 table.  No int64 (n, n) array is made, and
-        the table takes 2 n**2 bytes, 32 MB at n = 4096.
+        straight into the uint16 table.  Over Z/2 that digit-wise sum is the
+        XOR of the two rows, one uint16 XOR per block and no half-digit table.
+        No int64 (n, n) array is made, and the table takes 2 n**2 bytes, 32 MB
+        at n = 4096.
         """
 
         def build():
@@ -261,6 +276,11 @@ class RingSpec:
             if m == n:  # d = 1: no high digits, and no (n, n) half-digit table
                 return low
             high = self._digit_sum_rows(e[::m], constants)  # A_(x_hi m)
+            if self.modulus == 2:
+                out = np.empty((n, n), dtype=np.uint16)
+                for x_hi, a in enumerate(high):
+                    np.bitwise_xor(low, a, out=out[x_hi * m : (x_hi + 1) * m])
+                return out
             _, half, (hi_row, hi, lo_row, lo) = self._half_digit_sums(1)
             index = np.uint16
             # the high digits of a sum are < n / m, so half * m stays below n
@@ -284,7 +304,7 @@ class RingSpec:
         """(m, half, (hi_row, hi, lo_row, lo)) for ``add_indices``: m = k**h
         with h = ceil(d/2), the flat (m, m) table of digit-wise x + sign * y
         mod k over h digits, and per index hi * m, hi, lo * m and lo, all int64
-        and cached per sign."""
+        and cached per sign.  Built only for k > 2: over Z/2 sums are XORs."""
         d, k, n = self.dim, self.modulus, self.size
         h = (d + 1) // 2
         m = k**h
@@ -305,11 +325,14 @@ class RingSpec:
 
     def add_indices(self, x, y, sign: int = 1) -> np.ndarray:
         """Indices of element_x + sign * element_y over broadcastable index
-        arrays.  An index is hi * m + lo, lo its low h = ceil(d/2) digits and
-        m = k**h: one (m, m) table of digit-wise x + sign * y mod k serves both
-        halves (hi has at most h digits).  Each sign caches it flat, then hi * m,
-        hi, lo * m and lo of every index (a divmod per call, or 2-D gathers,
-        measured up to twice as slow).  Only at d = 1 has it n**2 entries."""
+        arrays, as int64.  Over Z/2 both are x ^ y.  Otherwise an index is
+        hi * m + lo, lo its low h = ceil(d/2) digits and m = k**h: one (m, m)
+        table of digit-wise x + sign * y mod k serves both halves (hi has at
+        most h digits).  Each sign caches it flat, then hi * m, hi, lo * m and
+        lo of every index (a divmod per call, or 2-D gathers, measured up to
+        twice as slow).  Only at d = 1 has it n**2 entries."""
+        if self.modulus == 2:
+            return np.bitwise_xor(x, y, dtype=np.int64)
         m, half, (hi_row, hi, lo_row, lo) = self._half_digit_sums(sign)
         return half[hi_row[x] + hi[y]] * m + half[lo_row[x] + lo[y]]
 

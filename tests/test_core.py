@@ -216,12 +216,16 @@ def test_commutator_table_matches_oracle_on_every_pair():
 
 def test_commutator_table_builds_no_other_table():
     """Besides the bracket table, only the half-digit sum table it is combined
-    with: k**(2h) + 4n entries, h = ceil(d/2), so no other (n, n) table."""
-    ring = fixtures.zorn(2)
+    with: k**(2h) + 4n entries, h = ceil(d/2), so no other (n, n) table.  Over
+    Z/2 the rows are combined by XOR, and not even that table is built."""
+    ring = fixtures.matrix2(3)  # zorn(3) has more elements than INDEX_TABLE_LIMIT
     ring.commutator_index_table()
     assert sorted(ring._cache) == ["add+1", "comm_idx", "elements", "weights"]
     h = (ring.dim + 1) // 2
     assert ring._cache["add+1"].size == ring.modulus ** (2 * h) + 4 * ring.size
+    ring = fixtures.zorn(2)
+    ring.commutator_index_table()
+    assert sorted(ring._cache) == ["comm_idx", "elements", "weights"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -101,6 +101,14 @@ def render(argv, root: Path) -> bytes:
     return res.stdout_bytes
 
 
+def _sha256(argv, root: Path) -> tuple[str, str]:
+    """sha256 of one CLI command's stdout in JSON and in text."""
+    return tuple(
+        hashlib.sha256(render([*argv, "--format", fmt], root)).hexdigest()
+        for fmt in ("json", "text")
+    )
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden-inputs")
@@ -145,10 +153,150 @@ def test_analyze_skip_primeness_sha256(tmp_path):
     assert sorted(r.name for r in rings) == sorted(SKIP_PRIMENESS_SHA256)
     for ring in rings:
         (tmp_path / "ring.json").write_text(ringio.dumps_ring(ring))
-        got = tuple(
-            hashlib.sha256(
-                render(["analyze", "ring.json", "--skip-primeness", "--format", fmt], tmp_path)
-            ).hexdigest()
-            for fmt in ("json", "text")
-        )
+        got = _sha256(["analyze", "ring.json", "--skip-primeness"], tmp_path)
         assert got == SKIP_PRIMENESS_SHA256[ring.name], ring.name
+
+
+# verify-map over Z/2, where sums and differences of indices are XORs: per
+# ring, x of the inner derivation y -> [x, y], the element whose image is
+# changed in it (which breaks both derivable kinds), and the keys and the
+# central value of a central shift of the identity.
+Z2_MAPS = {
+    "matrix2": ("e12", 1, ("e11", "e22"), "e11+e22"),
+    "example1": ("b12", 2, ("e", "e+a11"), "a11"),
+    "zorn": ("v1", 1, ("e11", "e22"), "e11+e22"),
+}
+
+
+def _z2_maps(ring, x, changed, keys, value):
+    """Map files for verify-map: name -> (values, --kind)."""
+    maps = {name: m for name, m in _maps(ring).items() if name in ("identity", "swap")}
+    shift = {ring.parse_element(key): ring.parse_element(value) for key in keys}
+    maps["central_shift"] = (liemaps.central_shift(MapTable.identity(ring), shift).values, "lie")
+    inner = liemaps.inner_lie_derivation(ring, ring.parse_element(x)).values
+    broken = inner.copy()
+    broken[changed] ^= 1
+    for kind in ("lie-derivable", "lie-triple"):
+        maps[f"inner_derivation_{kind}"] = (inner, kind)
+        maps[f"changed_derivation_{kind}"] = (broken, kind)
+    return maps
+
+
+# sha256 of verify-map stdout on the maps of _z2_maps: (json, text)
+Z2_MAP_SHA256 = {
+    ("matrix2_z2", "identity"): (
+        "cafabfd688b2f6e752d41fdcbca016ca1b09f0588210c90e82d7e923a241a54b",
+        "6a35a6b1b7e3e16748ab6628d9a8262436b91c5d8b04422aa0b682a49c5d0a93",
+    ),
+    ("matrix2_z2", "swap"): (
+        "08ccec9319c7388f90ad60be0eb4859fd7930f3d98ddc0122e5013b22178cffb",
+        "fa4d8015e256d50c8b9f7065a4518d37505af585f256c2db47eaa48ffde8506e",
+    ),
+    ("matrix2_z2", "central_shift"): (
+        "ad1ae43daf56e6498060cf30a22f05de11ec53f1633900b8ff08d9ea6ab8689f",
+        "f15a5b12207d7d376bda408ee443e56d5cf207f11a6675176d0bf78265d8a9b5",
+    ),
+    ("matrix2_z2", "inner_derivation_lie-derivable"): (
+        "105d9cb6ea5b1c8d8c5935528c7f1bc26869825edbb998b5bc4608dac23fcdbd",
+        "a1520846dae7acc0c6b20afc073831d8e2acd17da491e31c55cbc6c2a5df7207",
+    ),
+    ("matrix2_z2", "changed_derivation_lie-derivable"): (
+        "332c69957c2970a6fa13f578fde0e7fc63d2e7d5775c0746de0846e0d03fb8e8",
+        "85c5a5d1880090fe107a01e15e7f66b3ab0f6b7729b58814d7292bad97a04667",
+    ),
+    ("matrix2_z2", "inner_derivation_lie-triple"): (
+        "91f640666bd4043d0e527c50a5d524fa2dbdbf669e6c28da2f0dc4dc24ef8eda",
+        "c0ac22283984a021f34e871fb43887bd7a625aa093a4f520c01713544cfce6ae",
+    ),
+    ("matrix2_z2", "changed_derivation_lie-triple"): (
+        "40499210d92e4a1f747b0dd6079c4177c9525922dc5813118efc00ba0ea48144",
+        "6e961c57ccee0d783c82a40ee72316bbf0bdb2c5a8179a39b266bb60e644ad6a",
+    ),
+    ("example1_z2", "identity"): (
+        "fdb5564bd5ddb309c69cd241f8a20a6540f12242c91d5969702280cd818105a6",
+        "1ac5c5bc5ccc9f40666b2702c98e57c7bdf4c57b7efdcb4b160c39faadbae03f",
+    ),
+    ("example1_z2", "swap"): (
+        "275285a39e2d587099be70c0932f28c0f6ce2db007a0dda89c6c11ee886bcdf7",
+        "ba04f8369deb64dc3071b41edc1947008d5143d0060e378c24329fc199a969f3",
+    ),
+    ("example1_z2", "central_shift"): (
+        "6d1c537d8b46bdb588a72b0395f5ff55b92b37e96dbb2a14036b02b33a083723",
+        "a9a8a3a71cddc5d1da848124b22aebb43e59c976894a4351032d20b1da3c7ff2",
+    ),
+    ("example1_z2", "inner_derivation_lie-derivable"): (
+        "29154907bc2bd8c7ac1547af3bbb04209737303d5c2da22e0a66b68fe031a4ae",
+        "bbf1f762c33efdddbf46162d45acd16a5c032461081d1b1d5699470c25b32c9c",
+    ),
+    ("example1_z2", "changed_derivation_lie-derivable"): (
+        "5a13b75f9789a8268a74b11bd9fbd2dc000c00ad3c826e74b176bdf365a500b1",
+        "5c0875505bbe7ab8ffe9f917bc7bc4e4eeca91e5cc923052833a144d97f01195",
+    ),
+    ("example1_z2", "inner_derivation_lie-triple"): (
+        "faba2dd0c5b25488c660f9e594e981a9fbc23aa050c86e0c789ae58ee79bd102",
+        "16eef5d980abe2dc35d61996ca17a3af13093fdad064475be80f787da0930155",
+    ),
+    ("example1_z2", "changed_derivation_lie-triple"): (
+        "7f4eeb1b54994191335fb2844b6fb936942d4ba0caebacbfaa8989e5507fa135",
+        "ba15bbe1e2435d4fb68f0cade934eb67cad417aa46031e2806291ec24856eae0",
+    ),
+    ("zorn_z2", "identity"): (
+        "174504eea708660f75cd75b344c5fee1c60253faaf24eca7642fd82742f78675",
+        "123a853a7ee08cae77e09f6aaebb1d660bb1ad6ac0c27a96b98623263ca9c852",
+    ),
+    ("zorn_z2", "swap"): (
+        "86d6bbb875826348e9bcf4c543eced2e935f6792c4a8a68a912c7bb4a18ff22f",
+        "1bca3395dbc805ae3e8a5187919e72496aacc938397beb27efdebc78db432fc7",
+    ),
+    ("zorn_z2", "central_shift"): (
+        "a9bacf64763978829e9333991da01ed0149ab589a4dc4c147dc26ad8595abd90",
+        "e9577c9185ded2c917456e87c8a2b9e8d4e7eb05a9976d8550b408948c54a3a6",
+    ),
+    ("zorn_z2", "inner_derivation_lie-derivable"): (
+        "f7381d5f6bdee7826ac0d441722a788fd71cdb6bc594d5786ccc4195102723b8",
+        "69a41472dafdc0c87e781372f8a672d76d88be6b6c2246d070985b35710f2b8d",
+    ),
+    ("zorn_z2", "changed_derivation_lie-derivable"): (
+        "fc528f17286e693c240e369dca729c0abe314587eb1c1e59a9e2b5f5256b104a",
+        "f3aebff8ef678214bb834c0e6e786d93105b4cb1a84f4f653f35bff1e4abe19c",
+    ),
+    ("zorn_z2", "inner_derivation_lie-triple"): (
+        "d83e45c2bcf635e1e737a36c57bf521af41b53983d0d740429a7212c4c3f4d0f",
+        "1336d6ec7fc6f9c8da553d077eda3b3b34daf22ab4bb88e2c09496dda4567021",
+    ),
+    ("zorn_z2", "changed_derivation_lie-triple"): (
+        "0916b679f6410097efc475b9b96de37fa71caf0fbf1e4db9bf1f5876030f1fb9",
+        "25a0e430d904fa8d75ec89ae646bc5ecfba795fce3186fe78ce728080428e1ef",
+    ),
+}
+
+
+def test_verify_map_z2_sha256(tmp_path):
+    for name, spec in Z2_MAPS.items():
+        ring = fixtures.build(name, 2)
+        (tmp_path / "ring.json").write_text(ringio.dumps_ring(ring))
+        for map_name, (values, kind) in _z2_maps(ring, *spec).items():
+            (tmp_path / "map.json").write_text(ringio.dumps_map(values, ring, ring))
+            got = _sha256(["verify-map", "ring.json", "map.json", "--kind", kind], tmp_path)
+            assert got == Z2_MAP_SHA256[ring.name, map_name], (ring.name, map_name)
+
+
+# sha256 of search-maps stdout over Z/2: (json, text)
+Z2_SEARCH_SHA256 = {
+    "matrix2_z2": (
+        "5985fa51f5d38e3e9dd87e925f7b29b4e79130733d31000247dcf3f0bd792c38",
+        "843848b498e8adf97d54dd8e885ac5e56bda55939a3871e90410c387d3bd3e5b",
+    ),
+    "triangular2_z2": (
+        "c22f636473ac36dd4a24fa6af7a63946d5996e23a1efb7f4de5f070497e0dbb7",
+        "8ee19120323b339b2e9372677fef07476a8a9fe2f769cb3708e624e1f457df2e",
+    ),
+}
+
+
+def test_search_maps_z2_sha256(tmp_path):
+    for name in ("matrix2", "triangular2"):
+        ring = fixtures.build(name, 2)
+        (tmp_path / "ring.json").write_text(ringio.dumps_ring(ring))
+        got = _sha256(["search-maps", "ring.json"], tmp_path)
+        assert got == Z2_SEARCH_SHA256[ring.name], ring.name

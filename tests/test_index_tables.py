@@ -10,7 +10,9 @@ and at odd dimensions, where the high half has one digit fewer than the low.
 The pairwise tables are uint16 at every size.  They are built from the rows
 of the low and the high half of x: at d = 1 the low half is every digit, and
 d = 3 at k = 16 has the widest half (m = 256), where a high-half index times
-m wrapping in uint16 would show.
+m wrapping in uint16 would show.  Over Z/2 sums, differences and the rows
+of the pairwise tables are XORs of indices, with no half-digit table: d = 1
+is the case with no high half, and odd d has one high digit fewer.
 """
 
 import tracemalloc
@@ -18,13 +20,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from altring import fixtures
+from altring import analysis, fixtures, liemaps
 from altring.core import INDEX_TABLE_LIMIT, RingSpec
+from altring.liemaps import MapTable
 
 # (dimension, modulus): d = 1 crosses the digit-width switch between k = 128
-# and k = 129, and reaches the largest modulus a table allows.
+# and k = 129, and reaches the largest modulus a table allows; k = 2 takes
+# the XOR path at d = 1, at odd d and at the largest table.
 CASES = [(1, k) for k in (127, 128, 129, 255, 256, 257, 4096)]
-CASES += [(2, 64), (12, 2), (3, 16), (5, 5), (7, 3)]
+CASES += [(2, 64), (12, 2), (3, 16), (5, 5), (7, 3), (1, 2), (3, 2), (5, 2)]
 SAMPLED_ROWS = 64
 
 
@@ -77,3 +81,43 @@ def test_largest_bracket_table_is_uint16_and_built_in_its_own_size():
         tracemalloc.stop()
     assert table.dtype == np.uint16 and table.nbytes == 2 * n * n
     assert peak < 1.5 * 2 * n * n
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_z2_sums_are_int64_for_every_input_type(sign):
+    """Over Z/2 a sum is x ^ y; it is int64 whether the indices come as intp,
+    as uint16 (gathered from a bracket table) or as Python ints."""
+    ring, _ = _random_ring(5, 2, True, seed=52)
+    e = np.arange(ring.size)
+    expected = _reference(ring, sign, e)
+    for x, y in ((e[:, None], e), (e.astype(np.uint16)[:, None], e.astype(np.uint16))):
+        sums = ring.add_indices(x, y, sign)
+        assert sums.dtype == np.int64 and np.array_equal(sums, expected)
+    for x, y in ((3, 17), (3, e.astype(np.uint16)), (e.astype(np.uint16), 17)):
+        sums = ring.add_indices(x, y, sign)
+        assert sums.dtype == np.int64
+        assert np.array_equal(sums, expected[x, y])
+
+
+def test_z2_verifiers_build_no_half_digit_table():
+    """The bracket table and every Lie-map verifier over Z/2, witnesses read,
+    leave no sum or difference table in the ring's cache."""
+    ring = fixtures.matrix2(2)
+    inner = liemaps.inner_lie_derivation(ring, ring.parse_element("e12"))
+    values = inner.values.copy()
+    values[1] ^= 1
+    broken = MapTable(ring, ring, values)
+    unity = analysis.find_unity(ring)
+    e11, e22 = ring.parse_element("e11"), ring.parse_element("e22")
+    shift = liemaps.central_shift(MapTable.identity(ring), {e11: unity, e22: unity})
+    assert liemaps.is_lie_multiplicative(shift).ok
+    assert not liemaps.is_lie_multiplicative(broken).ok
+    for phi in (inner, broken):
+        report = liemaps.derivable_report(phi)
+        assert report["lie_triple_derivable"].ok == (phi is inner)
+    for phi in (shift, broken):
+        report = liemaps.check_almost_additive(phi)
+        assert not report.all_zero
+        assert report.sample_nonzero is not None
+        assert (report.witness is None) == report.all_central
+    assert not {"add+1", "add-1"} & set(ring._cache), sorted(ring._cache)
