@@ -63,16 +63,12 @@ class PeirceError(ValueError):
 
 def _product_tensors(ring: RingSpec) -> tuple[np.ndarray, np.ndarray]:
     """(b_i*b_j)*b_l and b_i*(b_j*b_l) at [i, j, l], each shape (d, d, d, d).
-    Read-only and cached on the ring: the identity checks, the nucleus and
-    both primeness criteria all read them."""
-    products = ring._cache.get("products")
-    if products is None:
-        t, k = ring.table, ring.modulus
-        products = np.einsum("ijm,mlr->ijlr", t, t) % k, np.einsum("jlm,imr->ijlr", t, t) % k
-        for a in products:
-            a.setflags(write=False)
-        ring._cache["products"] = products
-    return products
+    The identity checks, the nucleus and both primeness criteria all read them."""
+    t, k = ring.table, ring.modulus
+    return ring._cached(
+        "products",
+        lambda: (np.einsum("ijm,mlr->ijlr", t, t) % k, np.einsum("jlm,imr->ijlr", t, t) % k),
+    )
 
 
 def _associator_tensor(ring: RingSpec) -> np.ndarray:
@@ -191,11 +187,9 @@ def commutant(ring: RingSpec) -> Submodule:
 
 
 def centre(ring: RingSpec) -> Submodule:
-    """Nucleus elements commuting with everything.  Its rows are cached on the
-    ring, not as a Submodule: that would refer back to the ring, a cycle."""
-    if "centre" not in ring._cache:
-        ring._cache["centre"] = (nucleus(ring) & commutant(ring)).rows
-    return Submodule(ring, ring._cache["centre"])
+    """Nucleus elements commuting with everything.  The ring keeps its rows,
+    not a Submodule: that would refer back to the ring, a cycle."""
+    return Submodule(ring, ring._cached("centre", lambda: (nucleus(ring) & commutant(ring)).rows))
 
 
 def _least_nonzero(sub: Submodule) -> Element:
@@ -225,19 +219,18 @@ def _mul_operators(ring: RingSpec) -> np.ndarray:
 def _multiplication_algebra(ring: RingSpec) -> np.ndarray:
     """Howell basis (r, d, d) of M(R), the unital Z/kZ-algebra generated by the
     L_{b_i} and R_{b_i}: the span of I, multiplied by the generators on the left
-    until it stops growing.  Cached on the ring."""
-    m = ring._cache.get("mult_algebra")
-    if m is None:
+    until it stops growing."""
+
+    def build():
         d, k, gens = ring.dim, ring.modulus, _mul_operators(ring)
         rows, nxt = None, np.eye(d, dtype=np.int64).reshape(1, -1)
         while not np.array_equal(rows, nxt):
             rows = nxt
             prods = np.einsum("gij,rjl->gril", gens, rows.reshape(-1, d, d)).reshape(-1, d * d)
             nxt = zmod.howell(np.vstack([rows, prods]), k, width=d * d)
-        m = rows.reshape(-1, d, d)
-        m.setflags(write=False)
-        ring._cache["mult_algebra"] = m
-    return m
+        return rows.reshape(-1, d, d)
+
+    return ring._cached("mult_algebra", build)
 
 
 def find_unity(ring: RingSpec) -> Element | None:

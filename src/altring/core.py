@@ -31,6 +31,25 @@ def _check_modulus(modulus) -> None:
         raise ValueError(f"modulus must be an integer >= 2, got {modulus!r}")
 
 
+def _int64_array(values, name: str) -> np.ndarray:
+    """A new int64 array of ``values``; ValueError at the first entry that is
+    not an integer.  Integer-valued floats are integers."""
+    raw = np.asarray(values)
+    if np.can_cast(raw.dtype, np.int64):
+        return raw.astype(np.int64)
+    # entry by entry, as given: a list mixing numbers and strings is all strings to NumPy
+    flat = np.asarray(values, dtype=object).reshape(-1)
+    for n, v in enumerate(flat):
+        if not isinstance(v, (int, np.integer)) and not (
+            isinstance(v, (float, np.floating)) and float(v).is_integer()
+        ):
+            pos = "".join(f"[{i}]" for i in np.unravel_index(n, raw.shape))
+            raise ValueError(f"{name}{pos} = {v!r} is not an integer")
+    # through Python ints, so an entry past int64 (a huge float, or uint64 from
+    # 2**63 on) raises OverflowError, never wraps
+    return np.array([int(v) for v in flat], dtype=np.int64).reshape(raw.shape)
+
+
 class RingMismatchError(ValueError):
     """Raised when elements of different rings are combined."""
 
@@ -56,7 +75,7 @@ class RingSpec:
                 f"modulus {modulus} with dimension {d} is out of range: int64 arithmetic "
                 f"needs d^2*(k-1)^3 <= 2^63-1 and k^d <= 2^63-1"
             )
-        t = np.array(table, dtype=np.int64)
+        t = _int64_array(table, "table")
         if t.shape != (d, d, d):
             raise ValueError(f"table must have shape {(d, d, d)}, got {t.shape}")
         if t.min(initial=0) < 0 or t.max(initial=0) >= modulus:
@@ -162,14 +181,24 @@ class RingSpec:
 
     # -- bulk data --------------------------------------------------------
 
+    def _cached(self, key: str, build):
+        """The value under ``key``, from ``build()`` on first use.  Per-ring data
+        derived from the table lives here: built lazily, once, and read-only
+        (an array, or each array of a tuple)."""
+        value = self._cache.get(key)
+        if value is None:
+            value = build()
+            for a in value if isinstance(value, tuple) else (value,):
+                a.setflags(write=False)
+            self._cache[key] = value
+        return value
+
     @property
     def index_weights(self) -> np.ndarray:
-        w = self._cache.get("weights")
-        if w is None:
-            d, k = self.dim, self.modulus
-            w = np.array([k ** (d - 1 - j) for j in range(d)], dtype=np.int64)
-            self._cache["weights"] = w
-        return w
+        d, k = self.dim, self.modulus
+        return self._cached(
+            "weights", lambda: np.array([k ** (d - 1 - j) for j in range(d)], dtype=np.int64)
+        )
 
     def _digit_rows(self, lo: int, hi: int) -> np.ndarray:
         """(k**(hi-lo), dim) coefficient vectors, zero outside digits
@@ -183,12 +212,7 @@ class RingSpec:
 
     def elements_matrix(self) -> np.ndarray:
         """(size, dim) array of all coefficient vectors in index order."""
-        e = self._cache.get("elements")
-        if e is None:
-            e = self._digit_rows(0, self.dim)
-            e.setflags(write=False)
-            self._cache["elements"] = e
-        return e
+        return self._cached("elements", lambda: self._digit_rows(0, self.dim))
 
     def require_index_tables(self) -> None:
         """Refuse (ValueError) a ring too large for index tables."""
@@ -199,13 +223,9 @@ class RingSpec:
             )
 
     def _index_table(self, key: str, build) -> np.ndarray:
-        t = self._cache.get(key)
-        if t is None:
+        if key not in self._cache:
             self.require_index_tables()
-            t = build()
-            t.setflags(write=False)
-            self._cache[key] = t
-        return t
+        return self._cached(key, build)
 
     def _digit_sum_rows(self, x: np.ndarray, constants: np.ndarray) -> np.ndarray:
         """(len(x), n) uint16: out[r, y] = index of A y mod k, with A the linear

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import analysis, zmod
-from .core import Element, RingSpec, Submodule
+from .core import Element, RingSpec, Submodule, _int64_array
 from .analysis import Verdict
 
 
@@ -33,7 +33,7 @@ class MapTable:
     """A total function between two rings, tabulated by element index."""
 
     def __init__(self, domain: RingSpec, codomain: RingSpec, values):
-        vals = np.array(values, dtype=np.int64)
+        vals = _int64_array(values, "values")
         if vals.shape != (domain.size,):
             raise ValueError(
                 f"map must assign all {domain.size} elements, got shape {vals.shape}"
@@ -267,15 +267,14 @@ class DefectReport:
 
 
 def _central_mask(ring: RingSpec) -> np.ndarray:
-    """(n,) bool: is element i central?  Cached on the ring, as search-maps
-    grades hundreds of maps on one codomain."""
-    mask = ring._cache.get("central_mask")
-    if mask is None:
+    """(n,) bool: is element i central?"""
+
+    def build():
         mask = np.zeros(ring.size, dtype=bool)
         mask[analysis.centre(ring).elements_matrix() @ ring.index_weights] = True
-        mask.setflags(write=False)
-        ring._cache["central_mask"] = mask
-    return mask
+        return mask
+
+    return ring._cached("central_mask", build)
 
 
 def check_almost_additive(phi: MapTable) -> DefectReport:
@@ -292,9 +291,9 @@ def check_almost_additive(phi: MapTable) -> DefectReport:
     for phi modulo the centre, a Z/k-submodule.
 
     Defects are graded against the codomain's centre (nucleus intersected
-    with the commutant), which is cached on the ring.  The row-block scan of
-    the defects only finds the witnesses that the verdicts say exist: the
-    lex-least nonzero defect and the lex-least non-central one.  It runs when
+    with the commutant).  The row-block scan of the defects only finds the
+    witnesses that the verdicts say exist: the lex-least nonzero defect and
+    the lex-least non-central one.  It runs when
     the report's ``sample_nonzero`` or ``witness`` is first read, and an
     additive map scans nothing.  Rings past ``INDEX_TABLE_LIMIT`` are refused
     first.

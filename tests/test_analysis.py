@@ -8,8 +8,9 @@ import json
 import numpy as np
 import pytest
 
-from altring import analysis, canonicalize, fixtures
+from altring import analysis, canonicalize, fixtures, liemaps
 from altring.analysis import PeirceError
+from altring.liemaps import MapTable
 
 from helpers import (
     PEIRCE_KEYS,
@@ -438,6 +439,34 @@ class TestProductTensors:
         for a in (outer, inner):
             with pytest.raises(ValueError):
                 a[0, 0, 0, 0] = 1
+        for k in (3, 2):
+            self._check_every_cached_array_is_read_only(fixtures.matrix2(k))
+
+    @staticmethod
+    def _check_every_cached_array_is_read_only(ring):
+        """After the analyses, verifiers and a search have filled the cache
+        (over Z/3 with the half-digit table add+1, over Z/2 without), each
+        cached array, and each array of a cached tuple, is read-only."""
+        e11, e22 = ring.parse_element("e11"), ring.parse_element("e22")
+        analysis.analyze(ring)
+        assert analysis.check_peirce_relations(analysis.peirce(ring, e11)).ok
+        inner = liemaps.inner_lie_derivation(ring, ring.parse_element("e12"))
+        values = inner.values.copy()
+        values[1] = (values[1] + 1) % ring.size
+        assert not liemaps.derivable_report(MapTable(ring, ring, values))["lie_derivable"].ok
+        unity = analysis.find_unity(ring)
+        shift = liemaps.central_shift(MapTable.identity(ring), {e11: unity, e22: unity})
+        assert liemaps.is_lie_multiplicative(shift).ok
+        report = liemaps.check_almost_additive(shift)
+        assert report.sample_nonzero is not None and report.witness is None
+        assert not liemaps.search_lie_multiplicative_bijections(ring, budget=200).complete
+        if ring.modulus == 3:
+            assert "add+1" in ring._cache
+        cached = [ring.index_weights]
+        for value in ring._cache.values():
+            cached.extend(value if isinstance(value, tuple) else [value])
+        assert len(cached) > 8
+        assert [a.flags.writeable for a in cached] == [False] * len(cached), sorted(ring._cache)
 
 
 class TestPeirce:

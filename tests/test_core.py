@@ -1,6 +1,7 @@
 """Ring arithmetic, element indexing, submodule canonicalisation."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,28 @@ class TestInt64Range:
                 ]
                 exact = tuple(sum(t) % k for t in terms)
                 assert (ring.element(x) * ring.element(y)).coeffs == exact
+
+    @pytest.mark.parametrize(
+        "table,where,shown",
+        [
+            ([[[1.7]]], "[0][0][0]", "1.7"),
+            ([[["1"]]], "[0][0][0]", "'1'"),
+            ([[[float("nan")]]], "[0][0][0]", "nan"),
+            ([[[0, 0], [0, 0]], [[0, 0], [0, "z"]]], "[1][1][1]", "'z'"),
+            ([[[0, 0], [0, 0]], [[0, 2.5], [1, 0]]], "[1][0][1]", "2.5"),
+        ],
+    )
+    def test_non_integer_table_refused(self, table, where, shown):
+        d = len(table)
+        with pytest.raises(ValueError, match=re.escape(f"table{where} = {shown} is not an integer")):
+            RingSpec("x", 3, [f"b{i}" for i in range(d)], table)
+
+    def test_integer_valued_floats_accepted(self):
+        ring = RingSpec("x", 3, ["a"], np.full((1, 1, 1), 2.0))
+        assert ring.table.dtype == np.int64 and ring.table.tolist() == [[[2]]]
+        for big in ([[[1e30]]], np.full((1, 1, 1), 2**64 - 1, dtype=np.uint64)):
+            with pytest.raises(OverflowError):  # not wrapped to a value in range
+                RingSpec("x", 3, ["a"], big)
 
 
 class TestParsing:

@@ -799,6 +799,14 @@ class TestMapHygiene:
         with pytest.raises(ValueError):
             MapTable(t2, t2, np.full(t2.size, t2.size))
 
+    def test_non_integer_values_refused(self):
+        r = fixtures.zero_ring(1, 3)
+        with pytest.raises(ValueError, match=r"^values\[1\] = 1\.9 is not an integer$"):
+            MapTable(r, r, [0, 1.9, 2.2])
+        with pytest.raises(ValueError, match=r"^values\[2\] = '2' is not an integer$"):
+            MapTable(r, r, [0, 1, "2"])
+        assert MapTable(r, r, np.array([0.0, 2.0, 1.0])).values.tolist() == [0, 2, 1]
+
     def test_compose(self, m2):
         tau = neg_transpose(m2)
         assert tau.compose(tau) == MapTable.identity(m2)

@@ -75,17 +75,20 @@ def test_composite_modulus_against_dict_oracle():
     [
         (name, k)
         for name in sorted(fixtures.CATALOG)
-        for k in (4, 6, 8, 9, 10, 12)
+        for k in (4, 6, 8, 9, 10, 12, 15)
         if fixtures.build(name, k).size <= 20736
     ],
 )
 def test_composite_modulus_scans_stop_early(name, k):
-    """At composite k no ring is prime: for the largest prime p | k,
-    (k/p)R * pR = 0, so all three scans fail by a = k/p."""
-    p = max(q for q in range(2, k + 1) if k % q == 0 and all(q % s for s in range(2, q)))
+    """At composite k no ring is prime.  With p the least prime dividing k,
+    a = p (p times the element of index 1) has the partner of index k/p, as
+    pR * (k/p)R = 0, and every a between 1 and p is skipped, since its
+    leading coefficient does not divide k.  So all three scans stop at a = 1
+    or a = p."""
+    p = min(q for q in range(2, k + 1) if k % q == 0)
     for v in _all_verdicts(fixtures.build(name, k)).values():
         ok, (a, _), _ = v
-        assert not ok and 1 <= a <= k // p, v
+        assert not ok and a in (1, p), v
 
 
 def _unit_line_tables(seed=1212):
