@@ -169,9 +169,13 @@ def nucleus(ring: RingSpec) -> Submodule:
     Each slot condition is linear in u, so the kernel of the associator
     tensor with u's slot moved to the columns is exact.
     """
-    a = _associator_tensor(ring)
-    rows = [np.moveaxis(a, slot, -1).reshape(-1, ring.dim) for slot in range(3)]
-    return Submodule(ring, zmod.kernel(np.vstack(rows), ring.modulus))
+
+    def build():
+        a = _associator_tensor(ring)
+        rows = [np.moveaxis(a, slot, -1).reshape(-1, ring.dim) for slot in range(3)]
+        return zmod.kernel(np.vstack(rows), ring.modulus)
+
+    return Submodule(ring, ring._cached("nucleus", build))
 
 
 def commutant(ring: RingSpec) -> Submodule:
@@ -180,10 +184,14 @@ def commutant(ring: RingSpec) -> Submodule:
     This is the subgroup the centralising conditions are measured against;
     for 3-torsion-free alternative rings it coincides with the centre.
     """
-    # row (x, l), column u: the l-th coefficient of u*b_x - b_x*u
-    t = ring.table
-    rows = (t - t.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(-1, ring.dim)
-    return Submodule(ring, zmod.kernel(rows, ring.modulus))
+
+    def build():
+        # row (x, l), column u: the l-th coefficient of u*b_x - b_x*u
+        t = ring.table
+        rows = (t - t.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(-1, ring.dim)
+        return zmod.kernel(rows, ring.modulus)
+
+    return Submodule(ring, ring._cached("commutant", build))
 
 
 def centre(ring: RingSpec) -> Submodule:
@@ -700,16 +708,15 @@ def analyze(
     ring: RingSpec, torsion: tuple[int, ...] = (2, 3), primeness: bool = True
 ) -> AnalysisReport:
     """Run the full battery of structural checks on one ring."""
-    nuc, com = nucleus(ring), commutant(ring)
     return AnalysisReport(
         ring=ring,
         associative=is_associative(ring),
         alternative=is_alternative(ring),
         flexible=is_flexible(ring),
         linearized_flexible=check_linearized_flexible(ring),
-        nucleus=nuc,
-        commutant=com,
-        centre=nuc & com,
+        nucleus=nucleus(ring),
+        commutant=commutant(ring),
+        centre=centre(ring),
         unity=find_unity(ring),
         idempotents=idempotents(ring),
         torsion_free={k: is_k_torsion_free(ring, k) for k in torsion},

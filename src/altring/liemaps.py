@@ -7,7 +7,7 @@ rings' cached bracket tables and ``RingSpec.add_indices``; every failure is
 the lex-least (x, y) of a mismatch mask built per row block, least first.
 Additivity is the exception: its verdicts come from the n residues
 phi(x) - sum_i x_i phi(b_i), and the n^2 defects are scanned only for the
-witnesses those verdicts say exist.
+witnesses those verdicts say exist, each by its own scan on first read.
 The bracket is bilinear even where D is not, so both derivability laws read
 (x, y) only through ([x, y], [D(x), y] + [x, D(y)]) and are checked once per
 distinct pair.  The searcher enumerates value tables by backtracking and
@@ -100,20 +100,15 @@ def _row_blocks(n: int):
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
-def _first_set(mask: np.ndarray) -> tuple[int, int] | None:
-    """(i, j) of the first set entry of a 2-D mask in row-major order."""
-    i, j = divmod(int(np.argmax(mask)), mask.shape[1])
-    return (i, j) if mask[i, j] else None
-
-
 def _first_pair(ring: RingSpec, mask_rows) -> tuple[Element, Element] | None:
     """The lex-least (x, y) with ``mask_rows(rows)[x - rows.start, y]`` set,
     calling ``mask_rows`` on row blocks in order up to the first that has
     one; None when no block has one."""
     for rows in _row_blocks(ring.size):
-        hit = _first_set(mask_rows(rows))
-        if hit is not None:
-            return ring.from_index(rows.start + hit[0]), ring.from_index(hit[1])
+        mask = mask_rows(rows)
+        i, j = divmod(int(np.argmax(mask)), mask.shape[1])
+        if mask[i, j]:
+            return ring.from_index(rows.start + i), ring.from_index(j)
     return None
 
 
@@ -238,8 +233,8 @@ def additivity_defect(phi: MapTable, a: Element, b: Element) -> Element:
 class DefectReport:
     """The additivity defects of a map, classified against the centre of the
     codomain: flags and the lex-least witnesses, not a table.  The flags are
-    computed with the report; the witnesses on first read, by a scan of the
-    defects (search-maps reads only the flags)."""
+    computed with the report; each witness on its first read, by its own scan
+    of the defects up to its block (search-maps reads only the flags)."""
 
     phi: MapTable
     centre: Submodule
@@ -247,20 +242,36 @@ class DefectReport:
     all_central: bool
 
     @cached_property
-    def _witnesses(self):
-        if self.all_zero:
-            return None, None
-        return _defect_witnesses(self.phi, _central_mask(self.phi.codomain), self.all_central)
-
-    @property
     def sample_nonzero(self) -> tuple[Element, Element, Element] | None:
         """(a, b, defect) at the lex-least nonzero defect."""
-        return self._witnesses[0]
+        return None if self.all_zero else self._first_defect(nonzero=True)
 
-    @property
+    @cached_property
     def witness(self) -> tuple[Element, Element, Element] | None:
         """(a, b, defect) at the lex-least non-central defect."""
-        return self._witnesses[1]
+        return None if self.all_central else self._first_defect(nonzero=False)
+
+    def _first_defect(self, nonzero: bool) -> tuple[Element, Element, Element]:
+        """(a, b, defect) at the lex-least nonzero (or non-central) defect,
+        from row blocks of the defects in order.  Raises AssertionError where
+        a scanned block contradicts the residue verdicts."""
+        phi = self.phi
+        dom, cod, v = phi.domain, phi.codomain, phi.values
+        central, b = _central_mask(cod), np.arange(dom.size)
+
+        def mask(rows):
+            a = b[rows, None]  # phi(a+b) - phi(a) - phi(b)
+            defects = cod.add_indices(cod.add_indices(v[dom.add_indices(a, b)], v[a], -1), v, -1)
+            if not nonzero:
+                return ~central[defects]
+            if self.all_central and not central[defects].all():
+                raise AssertionError("a defect is not central, yet every residue is")
+            return defects != 0
+
+        pair = _first_pair(dom, mask)
+        if pair is None:
+            raise AssertionError("the residues show a defect that the scan did not find")
+        return pair + (additivity_defect(phi, *pair),)
 
     def defect(self, a: Element, b: Element) -> Element:
         return additivity_defect(self.phi, a, b)
@@ -291,12 +302,12 @@ def check_almost_additive(phi: MapTable) -> DefectReport:
     for phi modulo the centre, a Z/k-submodule.
 
     Defects are graded against the codomain's centre (nucleus intersected
-    with the commutant).  The row-block scan of the defects only finds the
-    witnesses that the verdicts say exist: the lex-least nonzero defect and
-    the lex-least non-central one.  It runs when
-    the report's ``sample_nonzero`` or ``witness`` is first read, and an
-    additive map scans nothing.  Rings past ``INDEX_TABLE_LIMIT`` are refused
-    first.
+    with the commutant).  The defects are scanned only for the witnesses
+    that the verdicts say exist: the lex-least nonzero defect
+    (``sample_nonzero``) and the lex-least non-central one (``witness``).
+    Each is its own row-block scan, run when it is first read and stopped
+    at its block; an additive map scans nothing.  Rings past
+    ``INDEX_TABLE_LIMIT`` are refused first.
     """
     dom, cod = phi.domain, phi.codomain
     dom.require_index_tables()
@@ -310,40 +321,6 @@ def check_almost_additive(phi: MapTable) -> DefectReport:
     if not all_zero:
         all_central = bool(_central_mask(cod)[residues @ w].all())
     return DefectReport(phi=phi, centre=centre, all_zero=all_zero, all_central=all_central)
-
-
-def _defect_witnesses(phi: MapTable, central: np.ndarray, all_central: bool):
-    """(sample, witness) of a map that is not additive: the lex-least nonzero
-    defect and, unless ``all_central``, the lex-least non-central one, each as
-    (a, b, defect).  Row blocks are scanned in order up to the block that holds
-    the last one needed; a non-central defect is nonzero, so the sample never
-    comes after the witness.  Raises AssertionError where a scanned block
-    contradicts the residue verdicts."""
-    dom, cod, v = phi.domain, phi.codomain, phi.values
-
-    def at(mask):  # (a, b, defect) at the first set entry of this block's mask
-        hit = _first_set(mask)
-        if hit is None:
-            return None
-        i, j = hit
-        return dom.from_index(rows.start + i), dom.from_index(j), cod.from_index(int(defects[i, j]))
-
-    b, sample = np.arange(dom.size), None
-    for rows in _row_blocks(dom.size):
-        a = b[rows, None]  # phi(a+b) - phi(a) - phi(b)
-        defects = cod.add_indices(cod.add_indices(v[dom.add_indices(a, b)], v[a], -1), v, -1)
-        if sample is None:
-            sample = at(defects != 0)
-        outside = ~central[defects]
-        if not all_central:
-            witness = at(outside)
-            if witness is not None:
-                return sample, witness
-        elif outside.any():
-            raise AssertionError("a defect is not central, yet every residue is")
-        elif sample is not None:
-            return sample, None
-    raise AssertionError("the residues show a defect that the scan did not find")
 
 
 def inner_lie_derivation(ring: RingSpec, x: Element) -> MapTable:

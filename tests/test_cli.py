@@ -222,6 +222,22 @@ class TestPeirce:
         assert res.exit_code == 0, res.output
         assert sorted(sides) == ["12", "21"]
 
+    def test_commutant_is_computed_once(self, runner, files, monkeypatch):
+        """Both conditions are graded against one commutant kernel, cached on
+        the ring."""
+        t = ringio.load_ring(files["example1"]).table
+        rows = (t - t.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(-1, t.shape[0])
+        calls, kernel = [], zmod.kernel
+
+        def counting_kernel(mat, k):
+            calls.append(np.array_equal(mat, rows))
+            return kernel(mat, k)
+
+        monkeypatch.setattr(zmod, "kernel", counting_kernel)
+        res = runner.invoke(main, ["peirce", files["example1"], "--idempotent", "e"])
+        assert res.exit_code == 0, res.output
+        assert calls.count(True) == 1
+
 
 class TestVerifyMap:
     def test_central_swap(self, runner, files):

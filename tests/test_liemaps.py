@@ -469,39 +469,55 @@ class TestDefects:
         assert [x.index for x in rep.sample_nonzero] == [1024, 1024, (2 * unity).index]
         assert sum(size > dom.size for size in sizes) == 3 * 17
 
+    def test_sample_alone_stops_at_its_block(self, monkeypatch):
+        """Reading only the sample scans up to the sample's block: on
+        past_first_block that is block 0 (three add_indices calls), though the
+        witness lies in block 1."""
+        phi = DEFECT_CASES["past_first_block"]()
+        rep = liemaps.check_almost_additive(phi)
+        sizes = add_index_sizes(monkeypatch)
+        assert rep.sample_nonzero[0].index == 1
+        assert sum(size > phi.domain.size for size in sizes) == 3
+
     def test_scan_contradicting_the_verdicts_raises(self):
-        """The witness scan checks every block it computes against the residue
+        """Each witness scan checks every block it computes against the residue
         verdicts: a non-central defect under an all-central verdict, or no
         defect at all under a not-additive one, raises."""
         m2 = fixtures.matrix2(2)
-        central = liemaps._central_mask(m2)
+        centre = analysis.centre(m2)
+        rep = liemaps.DefectReport(noncentral_swap(m2), centre, all_zero=False, all_central=True)
         with pytest.raises(AssertionError, match="not central"):
-            liemaps._defect_witnesses(noncentral_swap(m2), central, all_central=True)
+            rep.sample_nonzero
+        rep = liemaps.DefectReport(MapTable.identity(m2), centre, all_zero=False, all_central=False)
         with pytest.raises(AssertionError, match="did not find"):
-            liemaps._defect_witnesses(MapTable.identity(m2), central, all_central=False)
+            rep.sample_nonzero
+        with pytest.raises(AssertionError, match="did not find"):
+            rep.witness
 
     def test_witnesses_scanned_on_first_read_only(self, monkeypatch, tmp_path):
-        """The flags need no scan of the defects: the witnesses are scanned
-        when first read, once for both.  search-maps reads only the flags,
-        so its 336 maps that are not additive scan nothing; verify-map
-        prints the sample, so it scans."""
+        """The flags need no scan of the defects: each witness is scanned when
+        first read, and not again.  search-maps reads only the flags, so its
+        336 maps that are not additive scan nothing."""
         calls = []
-        scan = liemaps._defect_witnesses
-        monkeypatch.setattr(liemaps, "_defect_witnesses", lambda *a: calls.append(a) or scan(*a))
+        scan = liemaps.DefectReport._first_defect
+
+        def counted(rep, nonzero):
+            calls.append(nonzero)
+            return scan(rep, nonzero)
+
+        monkeypatch.setattr(liemaps.DefectReport, "_first_defect", counted)
         m2 = fixtures.matrix2(2)
         rep = liemaps.check_almost_additive(noncentral_swap(m2))
-        assert (rep.all_zero, rep.all_central, len(calls)) == (False, False, 0)
-        assert rep.witness is not None and rep.sample_nonzero is not None
-        assert len(calls) == 1
-        ring, swap = tmp_path / "m2.json", tmp_path / "swap.json"
+        assert (rep.all_zero, rep.all_central, calls) == (False, False, [])
+        sample = rep.sample_nonzero
+        assert sample is not None and rep.sample_nonzero is sample and calls == [True]
+        witness = rep.witness
+        assert witness is not None and rep.witness is witness and calls == [True, False]
+        ring = tmp_path / "m2.json"
         ring.write_text(ringio.dumps_ring(m2))
-        swap.write_text(ringio.dumps_map(central_swap(m2).values, m2, m2))
-        runner = CliRunner()
-        search = runner.invoke(cli.main, ["search-maps", str(ring), "--format", "json"])
-        assert search.exit_code == 0 and len(calls) == 1
-        verify = runner.invoke(cli.main, ["verify-map", str(ring), str(swap), "--format", "json"])
-        assert verify.exit_code == 0 and len(calls) == 2
-        assert json.loads(verify.output)["defect_sample"]["central"] is True
+        search = CliRunner().invoke(cli.main, ["search-maps", str(ring), "--format", "json"])
+        assert search.exit_code == 0 and calls == [True, False]
+        assert sum(not m["additive"] for m in json.loads(search.output)["maps"]) == 336
 
 
 def test_pairwise_scans_keep_no_table_sized_temporaries():
