@@ -484,31 +484,33 @@ def ideal_generated(ring: RingSpec, a: Element) -> Submodule:
     return Submodule(ring, rows)
 
 
-def _least_annihilated(
-    ring: RingSpec, partners, tag: str, start: int = 1, stop: int | None = None
-) -> Verdict:
-    """Verdict(False, (a, least nonzero of partners(a)), tag) at the least a in
-    [start, stop) (default: every nonzero a) whose partners(a) is nonzero,
-    None meaning a is already covered; else Verdict(True).  Only a whose
-    leading coefficient c divides k are visited: otherwise u*c = gcd(c, k) < c
-    for a unit u (zmod.unit_multiplier), and u*a is smaller, with the same
-    ideal and the same annihilators."""
-    k, lead = ring.modulus, 1  # lead: the place value of a's leading digit
-    while lead * k <= start:
-        lead *= k
-    for a in range(start, ring.size if stop is None else stop):
-        if a == lead * k:
-            lead = a
-        if k % (a // lead):
-            continue
-        ker = partners(a)
-        if ker is not None and not ker.is_zero():
-            return Verdict(False, (ring.from_index(a), _least_nonzero(ker)), tag)
+def _proper_divisors(k: int) -> list[int]:
+    """The divisors c < k of k, ascending, in O(sqrt(k)) steps; [1] iff k is prime."""
+    small = [c for c in range(1, math.isqrt(k) + 1) if k % c == 0]
+    return sorted({*small, *(k // c for c in small)} - {k})
+
+
+def _candidate_ranges(ring: RingSpec):
+    """Ascending index ranges [c*k**t, (c+1)*k**t): the nonzero a whose leading
+    coefficient c divides k, which the primeness scans visit.  For any other
+    a, u*c = gcd(c, k) < c for a unit u (zmod.unit_multiplier), and u*a is
+    smaller, with the same ideal and the same annihilators."""
+    k, divisors = ring.modulus, _proper_divisors(ring.modulus)
+    for t in range(ring.dim):
+        for c in divisors:
+            yield c * k**t, (c + 1) * k**t
+
+
+def _least_annihilated(ring: RingSpec, partners, tag: str, ranges) -> Verdict:
+    """Verdict(False, (a, least nonzero of partners(a)), tag) at the least a
+    in the ascending index ranges whose partners(a) is nonzero, None meaning
+    a is already covered; else Verdict(True)."""
+    for lo, hi in ranges:
+        for a in range(lo, hi):
+            ker = partners(a)
+            if ker is not None and not ker.is_zero():
+                return Verdict(False, (ring.from_index(a), _least_nonzero(ker)), tag)
     return Verdict(True)
-
-
-def _is_prime(k: int) -> bool:
-    return k > 1 and all(k % p for p in range(2, math.isqrt(k) + 1))
 
 
 def is_prime_by_ideals(ring: RingSpec) -> Verdict:
@@ -540,8 +542,9 @@ def is_prime_by_ideals(ring: RingSpec) -> Verdict:
         rows = (w.reshape(-1, d) @ mult_cols).reshape(len(w), d, -1, d).transpose(0, 2, 1, 3)
         return Submodule(ring, zmod.kernel(rows.reshape(-1, d), ring.modulus))
 
-    burnside = _is_prime(ring.modulus) and len(mult) == d * d
-    return _least_annihilated(ring, partners, "ideal-pair", stop=2 if burnside else None)
+    burnside = _proper_divisors(ring.modulus) == [1] and len(mult) == d * d
+    ranges = [(1, 2)] if burnside else _candidate_ranges(ring)
+    return _least_annihilated(ring, partners, "ideal-pair", ranges)
 
 
 # Most entries in one (d*d, d, chunk) stack of the batched rank test.
@@ -585,25 +588,19 @@ def _first_rank_deficient(stack: np.ndarray, k: int) -> int | None:
 
 
 def _least_rank_deficient(ring: RingSpec, per_coeff: np.ndarray) -> int | None:
-    """At prime k, the least a with leading coefficient 1 whose M(a) has rank
-    < d, or None.  These a fill the index ranges [k**t, 2*k**t); the j-th of
-    them in index order is k**t + j - (k**t - 1)/(k - 1) for the t whose
-    range holds it.  They are taken in chunks of 1, 4, 16, ... of them, up
-    to about _RANK_BLOCK entries, so a scan that stops early stays short."""
+    """At prime k, the least candidate a (_candidate_ranges) whose M(a) has
+    rank < d, or None.  The ranges are [k**t, 2*k**t), so they grow by a
+    factor k, and each is taken in chunks of at most _RANK_BLOCK entries: a
+    scan that stops early stays short."""
     k, d = ring.modulus, ring.dim
-    powers = k ** np.arange(d + 1, dtype=np.int64)
-    first = (powers - 1) // (k - 1)  # position of k**t among them
     cap = max(1, _RANK_BLOCK // d**3)
-    lo, step = 0, 1
-    while lo < first[-1]:
-        j = np.arange(lo, min(lo + step, first[-1]))
-        t = np.searchsorted(first, j, side="right") - 1
-        a = powers[t] + j - first[t]
-        vectors = a[:, None] // ring.index_weights % k
-        hit = _first_rank_deficient((per_coeff.T @ vectors.T % k).reshape(d * d, d, -1), k)
-        if hit is not None:
-            return int(a[hit])
-        lo, step = lo + step, min(4 * step, cap)
+    for lo, hi in _candidate_ranges(ring):
+        for start in range(lo, hi, cap):
+            a = np.arange(start, min(start + cap, hi), dtype=np.int64)
+            vectors = a[:, None] // ring.index_weights % k
+            hit = _first_rank_deficient((per_coeff.T @ vectors.T % k).reshape(d * d, d, -1), k)
+            if hit is not None:
+                return int(a[hit])
     return None
 
 
@@ -615,8 +612,9 @@ def prime_criterion(ring: RingSpec, variant: str = "left") -> Verdict:
     in a: its row (j, l), column m is the l-th coefficient of (a*b_j)*b_m
     (left) or a*(b_j*b_m) (right), read off one product tensor.  At prime k
     that kernel is nonzero exactly when rank M(a) < d, so a batched rank test
-    finds the least such a and only its kernel is computed.  Witness:
-    (a, least nonzero annihilating b).
+    finds the least such a and only its kernel is computed; if that kernel
+    is zero, the two disagree and AssertionError is raised.  Witness: (a,
+    least nonzero annihilating b).
     """
     if variant not in ("left", "right"):
         raise ValueError("variant must be 'left' or 'right'")
@@ -627,11 +625,14 @@ def prime_criterion(ring: RingSpec, variant: str = "left") -> Verdict:
         m = (ring.from_index(a).vector() @ per_coeff) % k
         return Submodule(ring, zmod.kernel(m.reshape(-1, d), k))
 
-    start = 1
-    if _is_prime(k):
-        a = _least_rank_deficient(ring, per_coeff)
-        start = ring.size if a is None else a
-    return _least_annihilated(ring, annihilators, f"criterion-{variant}", start=start)
+    tag = f"criterion-{variant}"
+    if _proper_divisors(k) != [1]:
+        return _least_annihilated(ring, annihilators, tag, _candidate_ranges(ring))
+    a = _least_rank_deficient(ring, per_coeff)
+    verdict = _least_annihilated(ring, annihilators, tag, [] if a is None else [(a, a + 1)])
+    if verdict.ok and a is not None:
+        raise AssertionError(f"rank M(a) < d at a = {a}, yet its kernel is zero")
+    return verdict
 
 
 @dataclass

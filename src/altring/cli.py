@@ -10,6 +10,7 @@ failed, 2 for bad input or usage, 3 for an internal error.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -120,6 +121,20 @@ assert_option = click.option(
 output_option = click.option("--output", type=click.Path(dir_okay=False), default=None)
 
 
+def _report(command):
+    """Adds --format, --assert and --output to a command that returns (doc,
+    lines), lines a lazy iterable of text lines: one form is written, then the
+    assertions are applied to doc."""
+
+    @functools.wraps(command)
+    def run(*args, fmt, assertions, output, **kwargs):
+        doc, lines = command(*args, **kwargs)
+        _emit((json.dumps(doc, indent=2) if fmt == "json" else "\n".join(lines)) + "\n", output)
+        _apply_assertions(doc, assertions)
+
+    return format_option(assert_option(output_option(run)))
+
+
 class _Main(click.Group):
     """The command group; an exception that is not click's own is an internal
     error and exits 3 with a one-line message."""
@@ -145,10 +160,8 @@ def main():
 @click.argument("ring_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--torsion", default="2,3", show_default=True, help="Comma-separated k values.")
 @click.option("--skip-primeness", is_flag=True, help="Skip the ideal-pair scan and both criteria.")
-@format_option
-@assert_option
-@output_option
-def analyze(ring_file, torsion, skip_primeness, fmt, assertions, output):
+@_report
+def analyze(ring_file, torsion, skip_primeness):
     """Full structural report for one ring file."""
     ring = _load_ring(ring_file)
     try:
@@ -160,35 +173,50 @@ def analyze(ring_file, torsion, skip_primeness, fmt, assertions, output):
             raise ToolError(f"bad --torsion value {k}: each k must be at least 1")
     report = analysis.analyze(ring, torsion=ks, primeness=not skip_primeness)
     doc = report.to_dict()
-    if fmt == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", output)
-    else:
-        lines = [f"ring {ring.name}: Z_{ring.modulus}, dim {ring.dim}, {ring.size} elements"]
-        lines.append(_verdict_line("associative", report.associative))
-        lines.append(_verdict_line("alternative", report.alternative))
-        lines.append(_verdict_line("flexible", report.flexible))
-        lines.append(_verdict_line("linearized flexible", report.linearized_flexible))
-        lines.append(f"{'nucleus':<22} {_rows_text(doc['nucleus'])}")
-        lines.append(f"{'commutant':<22} {_rows_text(doc['commutant'])}")
-        lines.append(f"{'centre':<22} {_rows_text(doc['centre'])}")
+
+    def lines():
+        yield f"ring {ring.name}: Z_{ring.modulus}, dim {ring.dim}, {ring.size} elements"
+        yield _verdict_line("associative", report.associative)
+        yield _verdict_line("alternative", report.alternative)
+        yield _verdict_line("flexible", report.flexible)
+        yield _verdict_line("linearized flexible", report.linearized_flexible)
+        for key in ("nucleus", "commutant", "centre"):
+            yield f"{key:<22} {_rows_text(doc[key])}"
         unity = "none" if report.unity is None else report.unity.label()
-        lines.append(f"{'unity':<22} {unity}")
+        yield f"{'unity':<22} {unity}"
         idem = ", ".join(ring.from_index(i).label() for i in doc["idempotents"][:12])
         more = "" if len(report.idempotents) <= 12 else f" (+{len(report.idempotents) - 12} more)"
-        lines.append(f"{'idempotents':<22} {idem}{more}")
+        yield f"{'idempotents':<22} {idem}{more}"
         for k, v in sorted(report.torsion_free.items()):
-            lines.append(_verdict_line(f"{k}-torsion free", v))
-        lines.append(_verdict_line("prime (ideal pairs)", report.prime_by_ideals))
-        lines.append(_verdict_line("prime (left crit.)", report.prime_criterion_left))
-        lines.append(_verdict_line("prime (right crit.)", report.prime_criterion_right))
+            yield _verdict_line(f"{k}-torsion free", v)
+        yield _verdict_line("prime (ideal pairs)", report.prime_by_ideals)
+        yield _verdict_line("prime (left crit.)", report.prime_criterion_left)
+        yield _verdict_line("prime (right crit.)", report.prime_criterion_right)
         agree = report.primeness_agree
-        lines.append(f"{'primeness agreement':<22} {'n/a' if agree is None else ('yes' if agree else 'NO')}")
-        _emit("\n".join(lines) + "\n", output)
-    _apply_assertions(doc, assertions)
+        yield f"{'primeness agreement':<22} {'n/a' if agree is None else ('yes' if agree else 'NO')}"
+
+    return doc, lines()
 
 
-def _peirce_doc(ring, frame, relations, conditions) -> dict:
-    return {
+@main.command()
+@click.argument("ring_file", type=click.Path(exists=True, dir_okay=False))
+@click.option("--idempotent", required=True, metavar="EXPR",
+              help="Label sum like 'e' or 'e11+e22', or a decimal element index.")
+@_report
+def peirce(ring_file, idempotent):
+    """Peirce decomposition, multiplication rules, centralising conditions."""
+    ring = _load_ring(ring_file)
+    try:
+        e1 = ring.parse_element(idempotent)
+    except ValueError as exc:
+        raise ToolError(str(exc)) from exc
+    try:
+        frame = analysis.peirce(ring, e1)
+    except PeirceError as exc:
+        raise ToolError(str(exc)) from exc
+    relations = analysis.check_peirce_relations(frame)
+    conditions = {side: analysis.check_condition(frame, side) for side in ("12", "21")}
+    doc = {
         "ring": {"name": ring.name, "modulus": int(ring.modulus), "dim": int(ring.dim)},
         "idempotent": {"index": int(frame.e1.index), "label": frame.e1.label()},
         "components": {
@@ -206,49 +234,23 @@ def _peirce_doc(ring, frame, relations, conditions) -> dict:
         },
     }
 
-
-@main.command()
-@click.argument("ring_file", type=click.Path(exists=True, dir_okay=False))
-@click.option("--idempotent", required=True, metavar="EXPR",
-              help="Label sum like 'e' or 'e11+e22', or a decimal element index.")
-@format_option
-@assert_option
-@output_option
-def peirce(ring_file, idempotent, fmt, assertions, output):
-    """Peirce decomposition, multiplication rules, centralising conditions."""
-    ring = _load_ring(ring_file)
-    try:
-        e1 = ring.parse_element(idempotent)
-    except ValueError as exc:
-        raise ToolError(str(exc)) from exc
-    try:
-        frame = analysis.peirce(ring, e1)
-    except PeirceError as exc:
-        raise ToolError(str(exc)) from exc
-    relations = analysis.check_peirce_relations(frame)
-    conditions = {side: analysis.check_condition(frame, side) for side in ("12", "21")}
-    doc = _peirce_doc(ring, frame, relations, conditions)
-    if fmt == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", output)
-    else:
-        lines = [f"ring {ring.name}: Peirce decomposition at e1 = {frame.e1.label()}"]
+    def lines():
+        yield f"ring {ring.name}: Peirce decomposition at e1 = {frame.e1.label()}"
         for key in ("11", "12", "21", "22"):
-            lines.append(f"{'R' + key:<22} {_rows_text(doc['components'][key])}")
-        lines.append(_verdict_line("multiplication rules", relations))
-        lines.append(_verdict_line("condition (i)  [R12]", conditions["12"]))
-        lines.append(_verdict_line("condition (ii) [R21]", conditions["21"]))
-        _emit("\n".join(lines) + "\n", output)
-    _apply_assertions(doc, assertions)
+            yield f"{'R' + key:<22} {_rows_text(doc['components'][key])}"
+        yield _verdict_line("multiplication rules", relations)
+        yield _verdict_line("condition (i)  [R12]", conditions["12"])
+        yield _verdict_line("condition (ii) [R21]", conditions["21"])
+
+    return doc, lines()
 
 
 @main.command("verify-map")
 @click.argument("files", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--kind", type=click.Choice(["lie", "lie-derivable", "lie-triple"]),
               default="lie", show_default=True)
-@format_option
-@assert_option
-@output_option
-def verify_map(files, kind, fmt, assertions, output):
+@_report
+def verify_map(files, kind):
     """Verify a map file against ring file(s): FILES = RING... MAP."""
     *ring_files, map_file = files
     rings, sources = {}, {}
@@ -286,49 +288,43 @@ def verify_map(files, kind, fmt, assertions, output):
     except ValueError as exc:
         raise ToolError(str(exc)) from exc
 
+    pretty = {"lie": "Lie multiplicative", "lie-derivable": "Lie derivable",
+              "lie-triple": "Lie triple derivable"}[kind]
+    verdicts = [("bijective", Verdict(bijective)), (pretty, verdict)]
+    extra = {}
+    if kind == "lie-derivable":
+        verdicts.append(("Lie triple derivable", both["lie_triple_derivable"]))
+        extra["lie_triple_derivable"] = bool(both["lie_triple_derivable"].ok)
+    additive = almost = sample = None
+    if defreport is not None:
+        additive, almost = bool(defreport.all_zero), bool(defreport.all_central)
+        verdicts += [("additive", Verdict(additive)), ("almost additive", Verdict(almost))]
+        sample = defreport.sample_nonzero
     doc = {
-        "map": {
-            "domain": domain.name,
-            "codomain": codomain.name,
-            "bijective": bijective,
-        },
+        "map": {"domain": domain.name, "codomain": codomain.name, "bijective": bijective},
         "kind": kind,
         "verdict": {key: val for key, val in verdict.to_doc().items() if key != "tag"},
-        "additive": None if defreport is None else bool(defreport.all_zero),
-        "almost_additive": None if defreport is None else bool(defreport.all_central),
-        "defect_sample": None,
+        "additive": additive,
+        "almost_additive": almost,
+        "defect_sample": None if sample is None else {
+            "arguments": [int(sample[0].index), int(sample[1].index)],
+            "labels": [sample[0].label(), sample[1].label()],
+            "defect": int(sample[2].index),
+            "defect_label": sample[2].label(),
+            "central": bool(sample[2] in defreport.centre),
+        },
+        **extra,
     }
-    if kind == "lie-derivable":
-        doc["lie_triple_derivable"] = bool(both["lie_triple_derivable"].ok)
-    if defreport is not None and defreport.sample_nonzero is not None:
-        a, b, d = defreport.sample_nonzero
-        doc["defect_sample"] = {
-            "arguments": [int(a.index), int(b.index)],
-            "labels": [a.label(), b.label()],
-            "defect": int(d.index),
-            "defect_label": d.label(),
-            "central": bool(d in defreport.centre),
-        }
-    if fmt == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", output)
-    else:
-        pretty = {"lie": "Lie multiplicative", "lie-derivable": "Lie derivable",
-                  "lie-triple": "Lie triple derivable"}[kind]
-        lines = [f"map {domain.name} -> {codomain.name} ({len(values)} values)"]
-        lines.append(_verdict_line("bijective", Verdict(bijective)))
-        lines.append(_verdict_line(pretty, verdict))
-        if kind == "lie-derivable":
-            lines.append(_verdict_line("Lie triple derivable", both["lie_triple_derivable"]))
-        if defreport is not None:
-            lines.append(_verdict_line("additive", Verdict(defreport.all_zero)))
-            lines.append(_verdict_line("almost additive", Verdict(defreport.all_central)))
-            if defreport.sample_nonzero is not None:
-                a, b, d = defreport.sample_nonzero
-                lines.append(
-                    f"{'sample defect':<22} d({a.label()}, {b.label()}) = {d.label()}"
-                )
-        _emit("\n".join(lines) + "\n", output)
-    _apply_assertions(doc, assertions)
+
+    def lines():
+        yield f"map {domain.name} -> {codomain.name} ({len(values)} values)"
+        for name, v in verdicts:
+            yield _verdict_line(name, v)
+        if sample is not None:
+            a, b, d = sample
+            yield f"{'sample defect':<22} d({a.label()}, {b.label()}) = {d.label()}"
+
+    return doc, lines()
 
 
 @main.command("search-maps")
@@ -336,10 +332,8 @@ def verify_map(files, kind, fmt, assertions, output):
 @click.option("--codomain", "codomain_file", type=click.Path(exists=True, dir_okay=False),
               default=None, help="Second ring file; defaults to a self-search.")
 @click.option("--budget", type=int, default=None, help="Node budget for the backtracking search.")
-@format_option
-@assert_option
-@output_option
-def search_maps(ring_file, codomain_file, budget, fmt, assertions, output):
+@_report
+def search_maps(ring_file, codomain_file, budget):
     """Enumerate Lie multiplicative bijections on a small ring."""
     if budget is not None and budget <= 0:
         raise ToolError("--budget must be positive")
@@ -367,20 +361,19 @@ def search_maps(ring_file, codomain_file, budget, fmt, assertions, output):
         "count": len(entries),
         "maps": entries,
     }
-    if fmt == "json":
-        _emit(json.dumps(doc, indent=2) + "\n", output)
-    else:
-        lines = [
+
+    def lines():
+        yield (
             f"search {domain.name} -> {codomain.name}: {len(entries)} map(s), "
             f"complete={'yes' if result.complete else 'no'}, nodes={result.nodes}"
-        ]
+        )
         for i, entry in enumerate(entries):
-            lines.append(
+            yield (
                 f"  map {i}: values {entry['values']} additive={entry['additive']} "
                 f"almost_additive={entry['almost_additive']}"
             )
-        _emit("\n".join(lines) + "\n", output)
-    _apply_assertions(doc, assertions)
+
+    return doc, lines()
 
 
 @main.group("fixtures")

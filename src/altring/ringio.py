@@ -104,9 +104,16 @@ def loads_ring(text: str, where: str = "<ring>") -> RingSpec:
     return ring_from_doc(_parse_json(text, where), where)
 
 
+def _read_text(path) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text (byte offset {exc.start})", str(path)) from exc
+
+
 def load_ring(path) -> RingSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_ring(fh.read(), where=str(path))
+    return loads_ring(_read_text(path), where=str(path))
 
 
 def map_to_doc(values, domain: RingSpec, codomain: RingSpec, inline: bool = False) -> dict:
@@ -157,5 +164,4 @@ def loads_map(text: str, rings: Mapping[str, RingSpec] | None = None, where: str
 
 
 def load_map(path, rings: Mapping[str, RingSpec] | None = None):
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_map(fh.read(), rings, where=str(path))
+    return loads_map(_read_text(path), rings, where=str(path))

@@ -440,3 +440,23 @@ class TestVersion:
         text = (Path(__file__).parents[1] / "pyproject.toml").read_text()
         declared = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
         assert altring.__version__ == declared
+
+
+class TestNonUtf8Input:
+    """A file that is not UTF-8 text is bad input (exit 2), and the message
+    names the file."""
+
+    @pytest.mark.parametrize("command", ["analyze", "peirce", "verify-map", "search-maps"])
+    def test_each_command_names_the_file(self, runner, files, tmp_path, command):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"name": "caf\xe9", "modulus": 2}')
+        args = {
+            "analyze": ["analyze", str(bad)],
+            "peirce": ["peirce", str(bad), "--idempotent", "e"],
+            "verify-map": ["verify-map", files["matrix2"], str(bad)],
+            "search-maps": ["search-maps", str(bad)],
+        }[command]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, res.output
+        assert f"{bad}: not UTF-8 text" in res.output
+        assert "internal" not in res.output

@@ -141,3 +141,12 @@ class TestMapFormat:
         t2 = fixtures.triangular2(2)
         doc = ringio.map_to_doc(np.arange(t2.size), t2, t2)
         assert json.loads(json.dumps(doc)) == doc
+
+
+@pytest.mark.parametrize("load", [ringio.load_ring, ringio.load_map])
+def test_non_utf8_file_is_a_format_error_at_its_path(load, tmp_path):
+    path = tmp_path / "bytes.json"
+    path.write_bytes(b'{"name": "\xff"}')
+    with pytest.raises(FormatError, match="not UTF-8 text") as exc:
+        load(path)
+    assert exc.value.where == str(path)
