@@ -19,6 +19,7 @@ then the least basis y, the left alternative law before the right one.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -484,10 +485,12 @@ def ideal_generated(ring: RingSpec, a: Element) -> Submodule:
     return Submodule(ring, rows)
 
 
-def _proper_divisors(k: int) -> list[int]:
-    """The divisors c < k of k, ascending, in O(sqrt(k)) steps; [1] iff k is prime."""
+@functools.cache
+def _proper_divisors(k: int) -> tuple[int, ...]:
+    """The divisors c < k of k, ascending, in O(sqrt(k)) steps once per k;
+    (1,) iff k is prime."""
     small = [c for c in range(1, math.isqrt(k) + 1) if k % c == 0]
-    return sorted({*small, *(k // c for c in small)} - {k})
+    return tuple(sorted({*small, *(k // c for c in small)} - {k}))
 
 
 def _candidate_ranges(ring: RingSpec):
@@ -542,7 +545,7 @@ def is_prime_by_ideals(ring: RingSpec) -> Verdict:
         rows = (w.reshape(-1, d) @ mult_cols).reshape(len(w), d, -1, d).transpose(0, 2, 1, 3)
         return Submodule(ring, zmod.kernel(rows.reshape(-1, d), ring.modulus))
 
-    burnside = _proper_divisors(ring.modulus) == [1] and len(mult) == d * d
+    burnside = _proper_divisors(ring.modulus) == (1,) and len(mult) == d * d
     ranges = [(1, 2)] if burnside else _candidate_ranges(ring)
     return _least_annihilated(ring, partners, "ideal-pair", ranges)
 
@@ -626,7 +629,7 @@ def prime_criterion(ring: RingSpec, variant: str = "left") -> Verdict:
         return Submodule(ring, zmod.kernel(m.reshape(-1, d), k))
 
     tag = f"criterion-{variant}"
-    if _proper_divisors(k) != [1]:
+    if _proper_divisors(k) != (1,):
         return _least_annihilated(ring, annihilators, tag, _candidate_ranges(ring))
     a = _least_rank_deficient(ring, per_coeff)
     verdict = _least_annihilated(ring, annihilators, tag, [] if a is None else [(a, a + 1)])

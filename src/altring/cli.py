@@ -343,16 +343,10 @@ def search_maps(ring_file, codomain_file, budget):
         result = liemaps.search_lie_multiplicative_bijections(domain, codomain, budget=budget)
     except ValueError as exc:
         raise ToolError(str(exc)) from exc
-    entries = []
-    for m in result.maps:
-        rep = liemaps.check_almost_additive(m)
-        entries.append(
-            {
-                "values": [int(v) for v in m.values],
-                "additive": bool(rep.all_zero),
-                "almost_additive": bool(rep.all_central),
-            }
-        )
+    entries = [
+        {"values": m.values.tolist(), "additive": rep.all_zero, "almost_additive": rep.all_central}
+        for m, rep in zip(result.maps, liemaps.almost_additive_reports(result.maps))
+    ]
     doc = {
         "domain": domain.name,
         "codomain": codomain.name,

@@ -274,51 +274,36 @@ class RingSpec:
                 block += r[:, l].astype(index) * w[l]
         return out
 
-    def _pair_index_table(self, key: str, constants: np.ndarray) -> np.ndarray:
-        """(n, n) uint16 table: out[x, y] = index of A_x y mod k, with A_x the
-        linear map y -> sum_ij x_i y_j constants[i, j].
-
-        A_x is linear in x.  Split x = x_hi * m + x_lo at the h = ceil(d/2)
-        low digits, m = k**h, as ``add_indices`` does: then A_x y is the
-        digit-wise sum of A_(x_hi m) y and A_(x_lo) y.  Only the k**(d-h) + m
-        rows x_hi * m and x_lo are digit outer sums (``_digit_sum_rows``); each
-        block of m rows sharing x_hi is then two index sums and two gathers
-        from the half-digit table of ``add_indices``, each (m, n), written
-        straight into the uint16 table.  Over Z/2 that digit-wise sum is the
-        XOR of the two rows, one uint16 XOR per block and no half-digit table.
-        No int64 (n, n) array is made, and the table takes 2 n**2 bytes, 32 MB
-        at n = 4096.
-        """
+    def _pair_rows(self, key: str, constants: np.ndarray, columns=None) -> "PairRows":
+        """Rows of the pairwise table for ``constants`` on demand (``PairRows``),
+        from its row tables: one (k**(d-h) + m, n) uint16 array, cached under
+        ``key``, of the rows x_hi * m (first) and x_lo (last), h = ceil(d/2)
+        and m = k**h, both digit outer sums (``_digit_sum_rows``).  With
+        ``columns``, column y of every row reads column columns[y]: the row
+        tables are permuted once, by ``np.take`` along the columns (its copy
+        is C-contiguous; row gathers from a ``t[:, columns]`` copy, column
+        major, measured 17x slower), and every row built from them is too."""
 
         def build():
-            e, n, m = self.elements_matrix(), self.size, self.modulus ** ((self.dim + 1) // 2)
-            low = self._digit_sum_rows(e[:m], constants)  # A_(x_lo), x_lo < m
-            if m == n:  # d = 1: no high digits, and no (n, n) half-digit table
-                return low
-            high = self._digit_sum_rows(e[::m], constants)  # A_(x_hi m)
-            if self.modulus == 2:
-                out = np.empty((n, n), dtype=np.uint16)
-                for x_hi, a in enumerate(high):
-                    np.bitwise_xor(low, a, out=out[x_hi * m : (x_hi + 1) * m])
-                return out
-            _, half, (hi_row, hi, lo_row, lo) = self._half_digit_sums(1)
-            index = np.uint16
-            # the high digits of a sum are < n / m, so half * m stays below n
-            # wherever it is read; entries that wrap are never read
-            half_m, half = (half * m).astype(index), half.astype(index)
-            low_hi, low_lo = hi[low].astype(index), lo[low].astype(index)
-            out = np.empty((n, n), dtype=index)
-            for x_hi, a in enumerate(high):
-                block = out[x_hi * m : (x_hi + 1) * m]
-                np.take(half_m, hi_row[a] + low_hi, out=block)
-                block += np.take(half, lo_row[a] + low_lo)
-            return out
+            e, m = self.elements_matrix(), self.modulus ** ((self.dim + 1) // 2)
+            return self._digit_sum_rows(np.concatenate((e[::m], e[:m])), constants)
 
-        return self._index_table(key, build)
+        rows = self._index_table(key, build)
+        return PairRows(self, rows if columns is None else np.take(rows, columns, axis=1))
+
+    def _pair_index_table(self, name: str, constants: np.ndarray) -> np.ndarray:
+        """(n, n) uint16 table: out[x, y] = index of A_x y mod k, with A_x the
+        linear map y -> sum_ij x_i y_j constants[i, j], cached under
+        ``name`` + "_idx", with its row tables under ``name`` + "_rows".  It is
+        ``PairRows.table``: 2 n**2 bytes, 32 MB at n = 4096, and no int64
+        (n, n) array."""
+        return self._index_table(
+            f"{name}_idx", lambda: self._pair_rows(f"{name}_rows", constants).table()
+        )
 
     def mul_index_table(self) -> np.ndarray:
         """(n, n) uint16 table: mul[i, j] = index of element_i * element_j."""
-        return self._pair_index_table("mul_idx", self.table)
+        return self._pair_index_table("mul", self.table)
 
     def _half_digit_sums(self, sign: int):
         """(m, half, (hi_row, hi, lo_row, lo)) for ``add_indices``: m = k**h
@@ -360,7 +345,16 @@ class RingSpec:
         """(n, n) table of [x, y] element indices.  The bracket is bilinear with
         constants table[i, j] - table[j, i], so it is built like the product
         table, without the product, negation or sum tables."""
-        return self._pair_index_table("comm_idx", self.table - self.table.transpose(1, 0, 2))
+        return self._pair_index_table("comm", self._bracket_constants())
+
+    def commutator_rows(self, columns=None) -> "PairRows":
+        """Rows of the bracket table on demand, [x, y] at row x and column y
+        (at column y, [x, columns[y]] when ``columns`` is given), from the
+        cached row tables alone: no (n, n) table is built."""
+        return self._pair_rows("comm_rows", self._bracket_constants(), columns)
+
+    def _bracket_constants(self) -> np.ndarray:
+        return self.table - self.table.transpose(1, 0, 2)
 
     # -- linear maps of multiplication -------------------------------------
 
@@ -373,6 +367,75 @@ class RingSpec:
         """Matrix R with coeffs(u*x) = R @ coeffs(u)."""
         v = x.vector() if isinstance(x, Element) else np.asarray(x, dtype=np.int64)
         return np.einsum("i,mil->lm", v, self.table) % self.modulus
+
+
+class PairRows:
+    """Rows of an (n, n) pairwise index table, out[x, y] = index of A_x y mod
+    k for a bilinear A, built on demand from its row tables
+    (``RingSpec._pair_rows``), whose columns may come in any order.
+
+    A_x is linear in x.  Split x = x_hi * m + x_lo at the h = ceil(d/2) low
+    digits, m = k**h, as ``add_indices`` does: then row x is the digit-wise
+    sum of the row tables' rows x_hi * m (``high[x_hi]``) and x_lo
+    (``low[x_lo]``).  Over Z/2 that sum is the XOR of the two rows.
+    Otherwise it is two gathers from the half-digit table of
+    ``add_indices``, at flat positions that add split parts of the two
+    entries: hi * m and lo * m of each high entry, hi and lo of each low
+    entry, split once per instance in the narrowest unsigned type that holds
+    a flat position, below m**2 (uint16 for every ring within
+    ``INDEX_TABLE_LIMIT``).  At d = 1 every digit is low, and row x is low[x].
+    """
+
+    def __init__(self, ring: RingSpec, rows: np.ndarray):
+        m = ring.modulus ** ((ring.dim + 1) // 2)
+        self.n, self.m, self.width = ring.size, m, rows.shape[1]
+        self.high, self.low = rows[:-m], rows[-m:]
+        self._half = None
+        if ring.modulus > 2 and m < ring.size:
+            _, half, (hi_row, hi, lo_row, lo) = ring._half_digit_sums(1)
+            flat, index = np.min_scalar_type(m * m - 1), np.uint16
+            # the high digits of a sum are < n / m, so half * m stays below n
+            # wherever it is read; entries that wrap are never read
+            self._half = (half * m).astype(index), half.astype(index)
+            high, low = self.high, self.low
+            self._split = tuple(
+                part[table].astype(flat)
+                for part, table in ((hi_row, high), (lo_row, high), (hi, low), (lo, low))
+            )
+
+    def _combine(self, x_hi, x_lo, out: np.ndarray) -> np.ndarray:
+        """out = rows x_hi * m + x_lo, for x_hi and x_lo that index the high
+        and the low rows (integers, slices or arrays) and broadcast to the
+        rows of out."""
+        if self.m == self.n:
+            out[...] = self.low[x_lo]
+        elif self._half is None:
+            np.bitwise_xor(self.high[x_hi], self.low[x_lo], out=out)
+        else:
+            (hi_row, lo_row, hi, lo), (half_m, half) = self._split, self._half
+            np.take(half_m, hi_row[x_hi] + hi[x_lo], out=out)
+            out += np.take(half, lo_row[x_hi] + lo[x_lo])
+        return out
+
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """(len(x), width) uint16: the rows x, for an index array x."""
+        x_hi, x_lo = np.divmod(x, self.m)
+        return self._combine(x_hi, x_lo, np.empty((len(x), self.width), dtype=np.uint16))
+
+    def block(self, rows: slice) -> np.ndarray:
+        """(rows, width) uint16: the rows of a slice, combined per run of
+        rows that share x_hi, each a row of the high table broadcast against
+        a slice of the low one: no gather of rows."""
+        m, start, stop = self.m, rows.start, min(rows.stop, self.n)
+        out = np.empty((stop - start, self.width), dtype=np.uint16)
+        for x_hi in range(start // m, -(-stop // m)):
+            lo, hi = max(start, x_hi * m), min(stop, (x_hi + 1) * m)
+            self._combine(x_hi, slice(lo - x_hi * m, hi - x_hi * m), out[lo - start : hi - start])
+        return out
+
+    def table(self) -> np.ndarray:
+        """The whole (n, width) uint16 table.  At d = 1 it is the low rows."""
+        return self.low if self.m == self.n else self.block(slice(0, self.n))
 
 
 class Element:

@@ -2,12 +2,16 @@
 
 Maps are stored as full value tables indexed by element index, never as
 basis images: a Lie multiplicative map need not be additive, so its basis
-images do not determine it.  Verifiers run over all argument tuples with the
-rings' cached bracket tables and ``RingSpec.add_indices``; every failure is
-the lex-least (x, y) of a mismatch mask built per row block, least first.
-Additivity is the exception: its verdicts come from the n residues
-phi(x) - sum_i x_i phi(b_i), and the n^2 defects are scanned only for the
-witnesses those verdicts say exist, each by its own scan on first read.
+images do not determine it.  Verifiers run over all argument tuples, and
+every failure is the lex-least (x, y) of a mismatch mask built per row
+block, least first.  Additivity is the exception: its verdicts come from the
+n residues phi(x) - sum_i x_i phi(b_i), and the n^2 defects are scanned only
+for the witnesses those verdicts say exist, each by its own scan on first
+read.  The Lie multiplicative check and the central shift build each block's
+bracket rows from two small row tables per ring
+(``RingSpec.commutator_rows``) and keep no (n, n) table; the derivability
+checks and the searcher read the cached bracket table, and sums come from
+``RingSpec.add_indices``.
 The bracket is bilinear even where D is not, so both derivability laws read
 (x, y) only through ([x, y], [D(x), y] + [x, D(y)]) and are checked once per
 distinct pair.  The searcher enumerates value tables by backtracking and
@@ -118,14 +122,18 @@ def _verdict(witness, tag: str) -> Verdict:
 
 
 def is_lie_multiplicative(phi: MapTable) -> Verdict:
-    """phi([x, y]) == [phi(x), phi(y)] over all ordered pairs.  Both sides are
-    uint16 gathers through flat views (np.take on the uint16 entries measured
-    twice as fast as 2-D indexing at n = 4096)."""
-    cd, cc = phi.domain.commutator_index_table(), phi.codomain.commutator_index_table()
+    """phi([x, y]) == [phi(x), phi(y)] over all ordered pairs, one row block
+    at a time, from each ring's row tables (``RingSpec.commutator_rows``):
+    no (n, n) table is built or read.  A block of the domain's rows is
+    combined without a row gather, and phi of it is a uint16 gather.  The
+    codomain's row tables are permuted once by phi's values, so its rows at
+    phi(x) hold [phi(x), phi(y)] at column y: a row gather per block, no
+    n**2 random gather."""
     v = phi.values
-    v16, v_row = v.astype(cd.dtype), v * phi.codomain.size  # phi(x) * n: row offsets into cc
+    dom_rows, cod_rows = phi.domain.commutator_rows(), phi.codomain.commutator_rows(v)
+    v16 = v.astype(np.uint16)
     witness = _first_pair(
-        phi.domain, lambda rows: np.take(v16, cd[rows]) != np.take(cc, v_row[rows, None] + v)
+        phi.domain, lambda rows: np.take(v16, dom_rows.block(rows)) != cod_rows.rows(v[rows])
     )
     return _verdict(witness, "lie-multiplicative")
 
@@ -289,12 +297,19 @@ def _central_mask(ring: RingSpec) -> np.ndarray:
 
 
 def check_almost_additive(phi: MapTable) -> DefectReport:
-    """Is every additivity defect central in the codomain?
+    """Is every additivity defect central in the codomain?  The report of
+    ``almost_additive_reports`` for the one map phi."""
+    return almost_additive_reports([phi])[0]
 
-    The verdicts come from n residues, not n^2 defects.  With b_i the
-    domain's basis and k1 its modulus, let r(x) = phi(x) - sum_i x_i phi(b_i),
-    x_i in [0, k1), summed in the codomain.  That sum is additive up to the
-    carries of the digit-wise sum a + b, so each defect is
+
+def almost_additive_reports(maps: list[MapTable]) -> list[DefectReport]:
+    """The defect report of each map, for maps that share one domain and one
+    codomain: the residues of all of them from one stacked gather and matmul.
+
+    The verdicts come from n residues per map, not n^2 defects.  With b_i
+    the domain's basis and k1 its modulus, let r(x) = phi(x) - sum_i x_i
+    phi(b_i), x_i in [0, k1), summed in the codomain.  That sum is additive
+    up to the carries of the digit-wise sum a + b, so each defect is
     r(a+b) - r(a) - r(b) - (sum of k1 phi(b_i) over the carried digits i).
     Hence phi is additive iff every r(x) and every k1 phi(b_i) is zero
     (additivity gives phi(x) = sum_i x_i phi(b_i) and k1 phi(b_i) = phi(0) = 0),
@@ -309,26 +324,37 @@ def check_almost_additive(phi: MapTable) -> DefectReport:
     at its block; an additive map scans nothing.  Rings past
     ``INDEX_TABLE_LIMIT`` are refused first.
     """
-    dom, cod = phi.domain, phi.codomain
+    if not maps:
+        return []
+    dom, cod = maps[0].domain, maps[0].codomain
+    if any(phi.domain != dom or phi.codomain != cod for phi in maps):
+        raise ValueError("the maps must share one domain and one codomain")
     dom.require_index_tables()
     cod.require_index_tables()
     centre = analysis.centre(cod)
-    v, k, w, coeffs = phi.values, cod.modulus, cod.index_weights, cod.elements_matrix()
-    images = coeffs[v[dom.index_weights]]  # phi(b_i)
-    # r(x) for every x, then k1 phi(b_i) for every i, as codomain coefficient rows
-    residues = np.concatenate((coeffs[v] - dom.elements_matrix() @ images, dom.modulus * images)) % k
-    all_zero = all_central = not residues.any()
-    if not all_zero:
-        all_central = bool(_central_mask(cod)[residues @ w].all())
-    return DefectReport(phi=phi, centre=centre, all_zero=all_zero, all_central=all_central)
+    v, coeffs = np.stack([phi.values for phi in maps]), cod.elements_matrix()
+    images = coeffs[v[:, dom.index_weights]]  # phi(b_i) of each map
+    # r(x) for every x, then k1 phi(b_i) for every i, as codomain coefficient
+    # rows: (maps, n + d, codomain dim)
+    residues = np.concatenate(
+        (coeffs[v] - dom.elements_matrix() @ images, dom.modulus * images), axis=1
+    ) % cod.modulus
+    all_zero = ~residues.any(axis=(1, 2))
+    all_central = all_zero.copy()
+    if not all_zero.all():
+        some = ~all_zero
+        all_central[some] = _central_mask(cod)[residues[some] @ cod.index_weights].all(axis=1)
+    return [
+        DefectReport(phi=phi, centre=centre, all_zero=bool(zero), all_central=bool(central))
+        for phi, zero, central in zip(maps, all_zero, all_central)
+    ]
 
 
 def inner_lie_derivation(ring: RingSpec, x: Element) -> MapTable:
     """The map y -> [x, y]."""
     if ring != x.ring:
         raise ValueError("element outside the ring")
-    c = ring.commutator_index_table()
-    return MapTable(ring, ring, c[x.index, :].copy())
+    return MapTable(ring, ring, ring.commutator_rows().rows(np.array([x.index]))[0])
 
 
 def central_shift(phi: MapTable, shift: dict) -> MapTable:
@@ -360,11 +386,12 @@ def central_shift(phi: MapTable, shift: dict) -> MapTable:
     offsets = np.zeros(dom.size, dtype=np.int64)
     offsets[np.array([i for i, _ in entries], dtype=np.int64)] = vecs @ cod.index_weights
     # the least commutator value with a nonzero shift, from one gather of the
-    # shifted mask per row block of the bracket table (a presence mask of all
-    # its values measured up to 1.2x slower, and sorts more so)
-    c, shifted, least = dom.commutator_index_table(), offsets != 0, dom.size
+    # shifted mask per row block of the bracket (a presence mask of all its
+    # values measured up to 1.2x slower, and sorts more so); the rows come
+    # from the row tables, so no (n, n) table is built
+    brackets, shifted, least = dom.commutator_rows(), offsets != 0, dom.size
     for rows in _row_blocks(dom.size):
-        block = c[rows]
+        block = brackets.block(rows)
         hit = np.take(shifted, block)
         if hit.any():
             least = min(least, int(block[hit].min()))

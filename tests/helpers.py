@@ -3,10 +3,11 @@
 Deliberately implemented with plain Python dicts and tuples, no numpy and no
 shared code with the package's decision procedures, so that agreement is
 meaningful.  Only usable at desk scale.  The exceptions are
-``reference_triple_derivable``, ``reference_prime_by_ideals`` and
-``reference_prime_scans``, numpy scans kept to pin a witness order at sizes
-the dict oracles cannot reach, ``reference_span_elements``, the former span
-enumeration kept to pin its order, the ``reference_peirce*``
+``reference_triple_derivable``, ``reference_lie_multiplicative``,
+``reference_prime_by_ideals`` and ``reference_prime_scans``, numpy scans
+kept to pin a witness order at sizes the dict oracles cannot reach,
+``reference_span_elements``, the former span enumeration kept to pin its
+order, the ``reference_peirce*``
 procedures, the Peirce layer as the package computed it with scalar
 ``Element`` products, ``reference_sum_table``, sums of element indices
 straight from the coefficient vectors, and ``reference_howell``, the
@@ -282,6 +283,23 @@ def reference_triple_derivable(ring, values):
         if bad[i, j]:
             return False, [i, j, z], "lie-triple-derivable"
     return True, None, ""
+
+
+def reference_lie_multiplicative(phi):
+    """phi([x, y]) == [phi(x), phi(y)] by the gather form the library used
+    before it streamed bracket rows: both rings' (n, n) bracket tables, and
+    per row block phi of the domain's rows against the codomain's table at
+    (phi(x), phi(y)).  Returns (ok, witness indices): the lex-least failing
+    (x, y), or None."""
+    cd, cc = phi.domain.commutator_index_table(), phi.codomain.commutator_index_table()
+    v = phi.values
+    step = max(1, (1 << 17) // len(v))
+    for lo in range(0, len(v), step):
+        bad = v[cd[lo : lo + step]] != cc[v[lo : lo + step, None], v]
+        i, j = divmod(int(np.argmax(bad)), bad.shape[1])
+        if bad[i, j]:
+            return False, [lo + i, j]
+    return True, None
 
 
 def reference_ideal_closure(ring, a):

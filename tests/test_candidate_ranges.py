@@ -10,7 +10,7 @@ from altring.core import RingSpec
 
 
 def _brute_divisors(k):
-    return [c for c in range(1, k) if k % c == 0]
+    return tuple(c for c in range(1, k) if k % c == 0)
 
 
 def test_proper_divisors_match_brute_force_up_to_3000():
@@ -23,6 +23,16 @@ def test_proper_divisors_match_brute_force_up_to_3000():
 def test_proper_divisors_of_large_moduli(k):
     """47 * 28 109, a prime, and a prime power."""
     assert analysis._proper_divisors(k) == _brute_divisors(k)
+
+
+def test_proper_divisors_run_once_per_modulus():
+    """``analyze`` with primeness reads the divisors of k several times; the
+    loop runs once, and every read returns the same tuple."""
+    analysis._proper_divisors.cache_clear()
+    analysis.analyze(fixtures.matrix2(5))
+    info = analysis._proper_divisors.cache_info()
+    assert (info.misses, info.currsize) == (1, 1) and info.hits >= 1
+    assert analysis._proper_divisors(5) is analysis._proper_divisors(5) == (1,)
 
 
 def _zero_ring(k, d):
@@ -41,7 +51,7 @@ def test_candidates_are_the_elements_whose_lead_divides_k(k, d):
     ring = _zero_ring(k, d)
     got = [a for lo, hi in analysis._candidate_ranges(ring) for a in range(lo, hi)]
     assert got == [a for a in range(1, ring.size) if k % _leading_coefficient(a, k) == 0]
-    if _brute_divisors(k) == [1]:
+    if _brute_divisors(k) == (1,):
         assert len(got) == (ring.size - 1) // (k - 1)
 
 

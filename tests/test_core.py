@@ -238,17 +238,23 @@ def test_commutator_table_matches_oracle_on_every_pair():
 
 
 def test_commutator_table_builds_no_other_table():
-    """Besides the bracket table, only the half-digit sum table it is combined
-    with: k**(2h) + 4n entries, h = ceil(d/2), so no other (n, n) table.  Over
-    Z/2 the rows are combined by XOR, and not even that table is built."""
+    """Besides the bracket table, only its row tables, (k**ceil(d/2) +
+    k**floor(d/2)) x n uint16 entries, and the half-digit sum table they are
+    combined with: k**(2h) + 4n entries, h = ceil(d/2), so no other (n, n)
+    table.  Over Z/2 the rows are combined by XOR, and not even that table is
+    built."""
     ring = fixtures.matrix2(3)  # zorn(3) has more elements than INDEX_TABLE_LIMIT
     ring.commutator_index_table()
-    assert sorted(ring._cache) == ["add+1", "comm_idx", "elements", "weights"]
+    assert sorted(ring._cache) == ["add+1", "comm_idx", "comm_rows", "elements", "weights"]
     h = (ring.dim + 1) // 2
     assert ring._cache["add+1"].size == ring.modulus ** (2 * h) + 4 * ring.size
-    ring = fixtures.zorn(2)
-    ring.commutator_index_table()
-    assert sorted(ring._cache) == ["comm_idx", "elements", "weights"]
+    for ring in (ring, fixtures.zorn(2)):
+        ring.commutator_index_table()
+        k, d, n = ring.modulus, ring.dim, ring.size
+        rows = ring._cache["comm_rows"]
+        assert rows.dtype == np.uint16
+        assert rows.shape == (k ** ((d + 1) // 2) + k ** (d // 2), n)
+    assert sorted(ring._cache) == ["comm_idx", "comm_rows", "elements", "weights"]
 
 
 @settings(max_examples=60, deadline=None)

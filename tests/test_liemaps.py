@@ -528,7 +528,9 @@ def test_pairwise_scans_keep_no_table_sized_temporaries():
     come near half of one at this size by design)."""
     ring = fixtures.matrix2(7)
     phi = MapTable.identity(ring)
-    # the bracket table is cached on the ring: this builds it before tracing
+    # the bracket table and its row tables are cached on the ring: this builds
+    # them before tracing
+    ring.commutator_index_table()
     inner = liemaps.inner_lie_derivation(ring, ring.parse_element("e12"))
     table = ring.size**2 * 8
     checks = [
