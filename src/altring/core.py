@@ -15,9 +15,11 @@ import numpy as np
 
 from . import zmod
 
-# n*n index tables are only materialised for rings up to this many elements;
-# everything bigger must stay on the basis-criterion code paths.  The pairwise
-# tables hold element indices in uint16, which bounds any limit by n <= 65536.
+# Index tables (the row tables that every product and bracket row is streamed
+# from, and the half-digit sum tables) are only built for rings up to this many
+# elements, and no (n, n) table is cached; everything bigger must stay on the
+# basis-criterion code paths.  Streamed rows hold element indices in uint16,
+# which bounds any limit by n <= 65536.
 INDEX_TABLE_LIMIT = 4096
 
 # Every int64 computation stays below this: element indices reach k**d - 1, and
@@ -291,19 +293,10 @@ class RingSpec:
         rows = self._index_table(key, build)
         return PairRows(self, rows if columns is None else np.take(rows, columns, axis=1))
 
-    def _pair_index_table(self, name: str, constants: np.ndarray) -> np.ndarray:
-        """(n, n) uint16 table: out[x, y] = index of A_x y mod k, with A_x the
-        linear map y -> sum_ij x_i y_j constants[i, j], cached under
-        ``name`` + "_idx", with its row tables under ``name`` + "_rows".  It is
-        ``PairRows.table``: 2 n**2 bytes, 32 MB at n = 4096, and no int64
-        (n, n) array."""
-        return self._index_table(
-            f"{name}_idx", lambda: self._pair_rows(f"{name}_rows", constants).table()
-        )
-
     def mul_index_table(self) -> np.ndarray:
-        """(n, n) uint16 table: mul[i, j] = index of element_i * element_j."""
-        return self._pair_index_table("mul", self.table)
+        """(n, n) uint16 table: mul[i, j] = index of element_i * element_j, a
+        per-call view of streamed rows (``PairRows.table``), not cached."""
+        return self._pair_rows("mul_rows", self.table).table()
 
     def _half_digit_sums(self, sign: int):
         """(m, half, (hi_row, hi, lo_row, lo)) for ``add_indices``: m = k**h
@@ -342,19 +335,17 @@ class RingSpec:
         return half[hi_row[x] + hi[y]] * m + half[lo_row[x] + lo[y]]
 
     def commutator_index_table(self) -> np.ndarray:
-        """(n, n) table of [x, y] element indices.  The bracket is bilinear with
-        constants table[i, j] - table[j, i], so it is built like the product
-        table, without the product, negation or sum tables."""
-        return self._pair_index_table("comm", self._bracket_constants())
+        """(n, n) uint16 table of [x, y] element indices, a per-call view of
+        ``commutator_rows`` (``PairRows.table``), not cached."""
+        return self.commutator_rows().table()
 
     def commutator_rows(self, columns=None) -> "PairRows":
-        """Rows of the bracket table on demand, [x, y] at row x and column y
-        (at column y, [x, columns[y]] when ``columns`` is given), from the
-        cached row tables alone: no (n, n) table is built."""
-        return self._pair_rows("comm_rows", self._bracket_constants(), columns)
-
-    def _bracket_constants(self) -> np.ndarray:
-        return self.table - self.table.transpose(1, 0, 2)
+        """Rows of the bracket on demand, [x, y] at row x and column y (at
+        column y, [x, columns[y]] when ``columns`` is given), from the cached
+        row tables alone: no (n, n) table is built.  The bracket is bilinear
+        with constants table[i, j] - table[j, i]."""
+        constants = self.table - self.table.transpose(1, 0, 2)
+        return self._pair_rows("comm_rows", constants, columns)
 
     # -- linear maps of multiplication -------------------------------------
 

@@ -7,10 +7,10 @@ every failure is the lex-least (x, y) of a mismatch mask built per row
 block, least first.  Additivity is the exception: its verdicts come from the
 n residues phi(x) - sum_i x_i phi(b_i), and the n^2 defects are scanned only
 for the witnesses those verdicts say exist, each by its own scan on first
-read.  The Lie multiplicative check and the central shift build each block's
-bracket rows from two small row tables per ring
-(``RingSpec.commutator_rows``) and keep no (n, n) table; the derivability
-checks and the searcher read the cached bracket table, and sums come from
+read.  Every bracket is read as rows streamed from two small row tables per
+ring (``RingSpec.commutator_rows``), never as an (n, n) table: row blocks,
+rows at given indices, and with ``columns`` rows against permuted or partial
+columns, such as [x, D(y)] or a block of z.  Sums come from
 ``RingSpec.add_indices``.
 The bracket is bilinear even where D is not, so both derivability laws read
 (x, y) only through ([x, y], [D(x), y] + [x, D(y)]) and are checked once per
@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from . import analysis, zmod
-from .core import Element, RingSpec, Submodule, _int64_array
+from .core import Element, PairRows, RingSpec, Submodule, _int64_array
 from .analysis import Verdict
 
 
@@ -145,17 +145,17 @@ def _leibniz_pairs(d: MapTable):
     marking those pairs in the presence bitmap and rescanning s to the first."""
     if d.domain != d.codomain:
         raise ValueError("derivability is defined for self-maps only")
-    ring, v = d.domain, d.values
-    n, c = ring.size, ring.commutator_index_table()
+    ring, v, n = d.domain, d.values, d.domain.size
+    # rows of [x, y] and, with the columns permuted by D, of [x, D(y)]
+    brackets, d_brackets = ring.commutator_rows(), ring.commutator_rows(v)
 
     def keys(rows):  # flat bitmap positions [x, y] * n + s[x, y] of a row block
-        # [x, D(y)] = -[D(y), x], so both terms gather rows of c, never columns
-        # (the unblocked column gather measured 2.5-4x slower at n = 4096);
-        # each uint16 block is cast to intp once, C-ordered (gathers through
-        # uint16 or transposed indices measured up to twice as slow)
-        x, y = c[v[rows]].astype(np.intp), c[v, rows].T.astype(np.intp, order="C")
-        key = ring.add_indices(x, y, -1)
-        key += np.multiply(c[rows], n, dtype=key.dtype)
+        # [D(x), y] and [x, D(y)], uint16 rows cast to intp once (gathers
+        # through uint16 indices measured up to twice as slow)
+        dx_y = brackets.rows(v[rows]).astype(np.intp)
+        x_dy = d_brackets.block(rows).astype(np.intp)
+        key = ring.add_indices(dx_y, x_dy)
+        key += np.multiply(brackets.block(rows), n, dtype=key.dtype)
         return key
 
     marked = np.zeros(n * n, dtype=bool)
@@ -187,21 +187,21 @@ _TRIPLE_BLOCK = 1 << 20
 
 
 def _lie_triple_derivable(d: MapTable, pairs) -> Verdict:
-    ring, v = d.domain, d.values
-    n, c = ring.size, ring.commutator_index_table()
+    ring, v, n = d.domain, d.values, d.domain.size
     p, q, least = pairs
     first = np.ones(len(p), dtype=bool)
     first[1:] = p[1:] != p[:-1]
     rows, row_of = p[first], np.cumsum(first) - 1
-    row_at = rows[:, None] * n  # offsets of rows p in the flat table
     step = max(1, _TRIPLE_BLOCK // len(p))
     for lo in range(0, n, step):
-        z = slice(lo, lo + step)
+        z = np.arange(lo, min(lo + step, n))
         # L[p, z] = D([p, z]) - [p, D(z)] for each distinct p; it must be [q, z]
-        # (uint16 blocks cast to intp once; [p, D(z)] gathered from the flat table)
-        pz, p_dz = c[rows, z].astype(np.intp), np.take(c, row_at + v[z]).astype(np.intp)
+        # (rows p and q against the columns z, rows p against D(z); uint16, as
+        # intp copies raised the peak by a quarter at n = 2401)
+        z_brackets = ring.commutator_rows(z)
+        pz, p_dz = z_brackets.rows(rows), ring.commutator_rows(v[z]).rows(rows)
         lz = ring.add_indices(v[pz], p_dz, -1)
-        bad = lz[row_of] != c[q, z]
+        bad = lz[row_of] != z_brackets.rows(q)
         failing = bad.any(axis=0)
         if failing.any():
             col = int(np.argmax(failing))
@@ -409,18 +409,19 @@ class SearchResult:
     nodes: int
 
 
-def _depth_checks(table: np.ndarray):
+def _depth_checks(brackets: PairRows):
     """Yields, for m = 0, 1, ..., n - 1, the bracket constraints of depth m:
     the (u, w, c) with c = [u, w] and max(u, w, c) = m, as three array('H')
-    in (u, w) order.  The constraints of every depth below a width lie in the
-    leading width x width block of the table, stably sorted by max(u, w, c)
-    (uint16 keys).  The first width is 64, and it doubles each time m reaches
-    it: a search that stops early sorts only the block it reached, and a ring
-    of at most 64 elements needs one sort."""
-    n, lo = len(table), 0
+    in (u, w) order, from the bracket rows ``brackets``.  The
+    constraints of every depth below a width lie in the leading width x width
+    block of the bracket, stably sorted by max(u, w, c) (uint16 keys).  The
+    first width is 64, and it doubles each time m reaches it: a search that
+    stops early builds and sorts only the block it reached, and a ring of at
+    most 64 elements needs one sort."""
+    n, lo = brackets.n, 0
     while lo < n:
         width = min(max(2 * lo, 64), n)
-        block = table[:width, :width]
+        block = brackets.block(slice(0, width))[:, :width]
         i = np.arange(width, dtype=block.dtype)
         key = np.maximum(np.maximum(i[:, None], i), block).ravel()
         order = np.argsort(key, kind="stable")  # keys past the width sort last
@@ -451,11 +452,13 @@ def search_lie_multiplicative_bijections(
     if domain.size != cod.size:
         raise ValueError("domain and codomain must have the same number of elements")
     n = domain.size
-    depths = _depth_checks(domain.commutator_index_table())
+    depths = _depth_checks(domain.commutator_rows())
     checks = [next(depths)]  # depth 0 is [0, 0] = 0 alone, and phi(0) = 0
     # per node, plain Python over Python ints: on small rings numpy's
-    # per-element indexing costs more than the whole check
-    bracket = memoryview(cod.commutator_index_table().reshape(-1))
+    # per-element indexing costs more than the whole check.  bracket[y] is the
+    # codomain's row [y, .], built when y is first tried; row 0 is all zeros
+    cod_brackets = cod.commutator_rows()
+    bracket = [memoryview(np.zeros(n, dtype=np.uint16))] + [None] * (n - 1)
     values, used = [0] * n, [True] + [False] * (n - 1)
     found: list[MapTable] = []
     nodes = 0
@@ -465,8 +468,10 @@ def search_lie_multiplicative_bijections(
         values[m] = y
         if m == len(checks):
             checks.append(next(depths))
+        if bracket[y] is None:
+            bracket[y] = memoryview(cod_brackets.rows(np.array([y]))[0])
         for u, w, c in zip(*checks[m]):
-            if values[c] != bracket[values[u] * n + values[w]]:
+            if values[c] != bracket[values[u]][values[w]]:
                 return False
         return True
 

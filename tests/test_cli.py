@@ -337,6 +337,17 @@ class TestVerifyMap:
         assert "ring has 6561 elements; index tables are limited to 4096" in res.output
         assert "internal" not in res.output
 
+    def test_search_past_index_table_limit_is_refused(self, runner, tmp_path):
+        """The search reads brackets through the row tables, which refuse the
+        ring before anything is built for it."""
+        m9 = fixtures.matrix2(9)
+        ring_path = tmp_path / "m9.json"
+        ring_path.write_text(ringio.dumps_ring(m9))
+        res = runner.invoke(main, ["search-maps", str(ring_path)])
+        assert res.exit_code == 2, res.output
+        assert "ring has 6561 elements; index tables are limited to 4096" in res.output
+        assert "internal" not in res.output
+
 
 class TestSearchMaps:
     def test_complete_search(self, runner, files):

@@ -238,14 +238,14 @@ def test_commutator_table_matches_oracle_on_every_pair():
 
 
 def test_commutator_table_builds_no_other_table():
-    """Besides the bracket table, only its row tables, (k**ceil(d/2) +
-    k**floor(d/2)) x n uint16 entries, and the half-digit sum table they are
-    combined with: k**(2h) + 4n entries, h = ceil(d/2), so no other (n, n)
-    table.  Over Z/2 the rows are combined by XOR, and not even that table is
-    built."""
+    """The bracket table is a per-call view: only its row tables, (k**ceil(d/2)
+    + k**floor(d/2)) x n uint16 entries, and the half-digit sum table they are
+    combined with, k**(2h) + 4n entries, h = ceil(d/2), are cached, so no
+    (n, n) table.  Over Z/2 the rows are combined by XOR, and not even that
+    table is built."""
     ring = fixtures.matrix2(3)  # zorn(3) has more elements than INDEX_TABLE_LIMIT
     ring.commutator_index_table()
-    assert sorted(ring._cache) == ["add+1", "comm_idx", "comm_rows", "elements", "weights"]
+    assert sorted(ring._cache) == ["add+1", "comm_rows", "elements", "weights"]
     h = (ring.dim + 1) // 2
     assert ring._cache["add+1"].size == ring.modulus ** (2 * h) + 4 * ring.size
     for ring in (ring, fixtures.zorn(2)):
@@ -254,7 +254,7 @@ def test_commutator_table_builds_no_other_table():
         rows = ring._cache["comm_rows"]
         assert rows.dtype == np.uint16
         assert rows.shape == (k ** ((d + 1) // 2) + k ** (d // 2), n)
-    assert sorted(ring._cache) == ["comm_idx", "comm_rows", "elements", "weights"]
+    assert sorted(ring._cache) == ["comm_rows", "elements", "weights"]
 
 
 @settings(max_examples=60, deadline=None)

@@ -391,15 +391,39 @@ class TestDefects:
         assert calls == [m2]
 
     def test_builds_no_table_sized_array(self):
-        """Sums and differences come from one table over half the digits: no
-        (n, n) array is cached on the domain or the codomain, of the same
-        shape as the domain or not."""
+        """Sums and differences come from one table over half the digits, and
+        brackets are streamed rows: no (n, n) array is cached on the domain
+        or the codomain, of the same shape as the domain or not, by a defect
+        report, by either derivability check (of an inner derivation, and of
+        it with one value changed), or by a search, budgeted or run to
+        completion (matrix2_z2: a complete search of matrix2_z3 or zorn_z2
+        takes minutes)."""
+
+        def assert_no_table(label, *rings):
+            for ring in rings:
+                shapes = [np.shape(t) for t in ring._cache.values()]
+                assert (ring.size, ring.size) not in shapes, (label, ring.name)
+
         for case in ("past_first_block", "to_triangular2_z3"):
             phi = DEFECT_CASES[case]()
             liemaps.check_almost_additive(phi)
-            for ring in (phi.domain, phi.codomain):
-                shapes = [np.shape(t) for t in ring._cache.values()]
-                assert (ring.size, ring.size) not in shapes, (case, ring.name)
+            assert_no_table(case, phi.domain, phi.codomain)
+        for ring in (fixtures.matrix2(3), fixtures.zorn(2)):
+            inner = liemaps.inner_lie_derivation(ring, ring.parse_element("e11"))
+            values = inner.values.copy()
+            values[1] = (values[1] + 1) % ring.size
+            changed = MapTable(ring, ring, values)
+            for label, run in (
+                ("derivable inner", lambda: liemaps.derivable_report(inner)),
+                ("derivable changed", lambda: liemaps.derivable_report(changed)),
+                ("triple changed", lambda: liemaps.is_lie_triple_derivable(changed)),
+                ("search budget=200", lambda: liemaps.search_lie_multiplicative_bijections(ring, budget=200)),
+            ):
+                run()
+                assert_no_table(label, ring)
+        ring = fixtures.matrix2(2)
+        assert liemaps.search_lie_multiplicative_bijections(ring).complete
+        assert_no_table("complete search", ring)
 
     def test_past_the_table_limit_refused(self):
         ring = fixtures.zero_ring(13, 2)
@@ -521,16 +545,16 @@ class TestDefects:
 
 
 def test_pairwise_scans_keep_no_table_sized_temporaries():
-    """With the bracket table built, the Lie multiplicative check and the
-    defect report work in row blocks: neither peaks at a quarter of one
+    """With the bracket's row tables built, the Lie multiplicative check and
+    the defect report work in row blocks: neither peaks at a quarter of one
     (n, n) int64 table.  The derivability report keeps no Leibniz table: it
     peaks below one such table (its triple check's z-blocks of 2**20 entries
     come near half of one at this size by design)."""
     ring = fixtures.matrix2(7)
     phi = MapTable.identity(ring)
-    # the bracket table and its row tables are cached on the ring: this builds
-    # them before tracing
-    ring.commutator_index_table()
+    # the bracket's row tables are cached on the ring: this builds them before
+    # tracing
+    ring.commutator_rows()
     inner = liemaps.inner_lie_derivation(ring, ring.parse_element("e12"))
     table = ring.size**2 * 8
     checks = [
@@ -691,7 +715,7 @@ class TestSearch:
         for ring in (fixtures.zorn(2), fixtures.matrix2(3)):
             cd = ring.commutator_index_table()
             n = ring.size
-            depths = list(liemaps._depth_checks(cd))
+            depths = list(liemaps._depth_checks(ring.commutator_rows()))
             assert len(depths) == n
             seen = np.zeros((n, n), dtype=int)
             for m, (u, w, c) in enumerate(depths):
@@ -703,11 +727,11 @@ class TestSearch:
             assert (seen == 1).all()
 
     def test_budgeted_search_sorts_no_whole_table(self):
-        """With the 4096-element bracket table of matrix2_z8 cached, one node
-        needs only the first 64 x 64 block: the search peaks far below one
-        (n, n) table (32 MB in uint16)."""
+        """With the bracket's row tables of the 4096-element matrix2_z8
+        cached, one node needs only the first 64 x 64 block: the search peaks
+        far below one (n, n) table (32 MB in uint16)."""
         ring = fixtures.matrix2(8)
-        ring.commutator_index_table()
+        ring.commutator_rows()
         tracemalloc.start()
         try:
             res = liemaps.search_lie_multiplicative_bijections(ring, budget=1)

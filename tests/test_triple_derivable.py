@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from altring import commutator, fixtures, liemaps
+from altring.core import RingSpec
 from altring.liemaps import MapTable
 
 from helpers import reference_sum_table, reference_triple_derivable
@@ -102,6 +103,28 @@ def test_first_failure_beyond_first_block(monkeypatch):
     width = 1024 // distinct_pairs(ring, vals)
     assert 1 < width <= expected[1][2]
     assert verdict_triple(ring, vals) == expected
+
+
+def test_stops_at_the_first_failing_z_block(monkeypatch):
+    """A random map with D(0) = 0 on matrix2_z8 (4096 elements) has so many
+    distinct pairs that a z-block holds a few values of z.  It fails at
+    z = 1, so the brackets of exactly one z-block are read: rows against the
+    columns z and against D(z), for the first block of z."""
+    ring = fixtures.build("matrix2", 8)
+    n = ring.size
+    vals = np.random.default_rng(3).integers(0, n, size=n)
+    vals[0] = 0
+    d = MapTable(ring, ring, vals)
+    pairs = liemaps._leibniz_pairs(d)
+    step = liemaps._TRIPLE_BLOCK // len(pairs[0])
+    assert 1 <= step and n // step > 100
+    columns, streamed = [], RingSpec.commutator_rows
+    monkeypatch.setattr(
+        RingSpec, "commutator_rows", lambda r, cols=None: columns.append(cols) or streamed(r, cols)
+    )
+    v = liemaps._lie_triple_derivable(d, pairs)
+    assert not v.ok and v.witness_indices() == [1, 2, 1]
+    assert [c.tolist() for c in columns] == [list(range(step)), vals[:step].tolist()]
 
 
 def test_large_ring_inner_derivation_and_one_changed_value():
